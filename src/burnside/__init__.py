@@ -2,11 +2,7 @@
 
 from .abelian import (
     AbelianGroup,
-    Projection,
-    SubgroupOfAbelian,
     generates,
-    kernel_of_characters,
-    quotient_with_projection,
     wedge_equivalent,
 )
 from .bng import (
@@ -76,10 +72,8 @@ __all__ = [
     "IntMatrix",
     "InvariantError",
     "PreconditionError",
-    "Projection",
     "ProvenanceError",
     "SizeError",
-    "SubgroupOfAbelian",
     "SubgroupRef",
     "Symbol",
     "SymbolSum",
@@ -99,10 +93,8 @@ __all__ = [
     "generates",
     "group_structure",
     "hermite_normal_form",
-    "kernel_of_characters",
     "project_symbol",
     "project_sum",
-    "quotient_with_projection",
     "reduce_class",
     "relation_rows",
     "restrict_character",

@@ -12,10 +12,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, InvariantError, PreconditionError
-from .zlinalg import IntMatrix, det, hermite_normal_form, smith_normal_form
+from .zlinalg import IntMatrix, det
 
 
 @dataclass(frozen=True)
@@ -114,130 +114,6 @@ class AbelianGroup:
             return AbelianGroup(tuple(facs))
         except InvariantError as exc:
             raise InputError(str(exc)) from exc
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Surjection of an abelian group onto a quotient, evaluable on demand."""
-
-    source: AbelianGroup
-    target: AbelianGroup
-    matrix: tuple[tuple[int, ...], ...]  # columns of V kept for the quotient
-
-    def __call__(self, char) -> tuple[int, ...]:
-        vec = self.source.reduce(char)
-        image = [
-            sum(x * col[i] for i, x in enumerate(vec)) for col in self.matrix
-        ]
-        return self.target.reduce(image)
-
-
-@dataclass(frozen=True)
-class SubgroupOfAbelian:
-    """A subgroup of a finite abelian group, with a canonical lattice basis."""
-
-    ambient: AbelianGroup
-    generators: tuple[tuple[int, ...], ...]
-    elements: frozenset
-    basis: IntMatrix = field(compare=False)
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, elem) -> bool:
-        return self.ambient.reduce(elem) in self.elements
-
-    def structure(self) -> AbelianGroup:
-        """Invariant factors of the subgroup itself."""
-        amb = self.ambient
-        r = amb.rank
-        if r == 0 or self.order == 1:
-            return AbelianGroup(())
-        # express the ambient relation lattice in the subgroup basis
-        b = self.basis
-        d = det(b)
-        adj_cols = []
-        for j in range(r):
-            col = []
-            for i in range(r):
-                minor = [
-                    [b.entries[a][c] for c in range(r) if c != i]
-                    for a in range(r)
-                    if a != j
-                ]
-                col.append((-1) ** (i + j) * det(IntMatrix.from_rows(minor, r - 1)))
-            adj_cols.append(col)
-        rows = []
-        for i, n in enumerate(amb.invariant_factors):
-            row = []
-            for j in range(r):
-                num = n * adj_cols[j][i]
-                if num % d:
-                    raise InvariantError("subgroup basis does not span lattice")
-                row.append(num // d)
-            rows.append(row)
-        _, torsion = _coker(IntMatrix.from_rows(rows, r))
-        return AbelianGroup(tuple(torsion))
-
-
-def _coker(M: IntMatrix) -> tuple[int, list[int]]:
-    S, _, _ = smith_normal_form(M)
-    diag = S.diagonal()
-    nonzero = [x for x in diag if x]
-    return M.num_cols - len(nonzero), [x for x in nonzero if x > 1]
-
-
-def quotient_with_projection(A: AbelianGroup, S) -> tuple[AbelianGroup, Projection]:
-    """Quotient of ``A`` by the subgroup generated by the characters ``S``.
-
-    The result is in invariant-factor form; the returned projection can be
-    evaluated on any character of ``A``.
-    """
-    gens = [A.reduce(s) for s in S]
-    r = A.rank
-    rows = [
-        [A.invariant_factors[i] if j == i else 0 for j in range(r)]
-        for i in range(r)
-    ]
-    rows.extend(list(g) for g in gens)
-    snf, _, V = smith_normal_form(IntMatrix.from_rows(rows, r))
-    diag = snf.diagonal()
-    if len(diag) != r or any(d == 0 for d in diag):
-        raise InvariantError("quotient relation lattice is not full rank")
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    target = AbelianGroup(tuple(diag[i] for i in kept))
-    cols = tuple(
-        tuple(V.entries[i][k] for i in range(r)) for k in kept
-    )
-    return target, Projection(A, target, cols)
-
-
-def kernel_of_characters(H: AbelianGroup, chars) -> SubgroupOfAbelian:
-    """Intersection of the kernels of the given characters of ``H``."""
-    chars = [H.reduce(a) for a in chars]
-    e = H.exponent
-    weights = [e // n for n in H.invariant_factors]
-    members = []
-    for h in H.elements():
-        if all(
-            sum(a_i * h_i * w for a_i, h_i, w in zip(a, h, weights)) % e == 0
-            for a in chars
-        ):
-            members.append(h)
-    r = H.rank
-    rows = [list(h) for h in members]
-    rows.extend(
-        [H.invariant_factors[i] if j == i else 0 for j in range(r)]
-        for i in range(r)
-    )
-    basis = hermite_normal_form(IntMatrix.from_rows(rows, r))
-    return SubgroupOfAbelian(
-        ambient=H,
-        generators=tuple(chars),
-        elements=frozenset(members),
-        basis=basis,
-    )
 
 
 def generates(A: AbelianGroup, beta) -> bool:

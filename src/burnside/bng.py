@@ -16,6 +16,7 @@ from functools import cached_property
 
 from .abelian import AbelianGroup
 from .errors import DomainError, InputError, ProvenanceError, SizeError
+from .relations import relation_rows
 from .symbols import Atom, ConstrA, Symbol
 from .zlinalg import IntMatrix, smith_normal_form
 
@@ -56,14 +57,6 @@ def enumerate_generators(A: AbelianGroup, n: int, max_candidates=None):
     return gens
 
 
-def _relation_matrix(A: AbelianGroup, n: int, j_max: int) -> IntMatrix:
-    from .relations import relation_rows
-
-    if n == 1:
-        return IntMatrix.from_rows([], len(enumerate_generators(A, 1)))
-    return relation_rows(A, n, j_max)
-
-
 @dataclass(eq=False)
 class BnGPresentation:
     """Generators and relation matrix of the tuple group, with cached SNF."""
@@ -81,7 +74,9 @@ class BnGPresentation:
 
     @cached_property
     def relation_matrix(self) -> IntMatrix:
-        return _relation_matrix(self.A, self.n, 2)
+        if self.n == 1:
+            return IntMatrix.from_rows([], len(self.generators))
+        return relation_rows(self, 2)
 
     @cached_property
     def snf_data(self):

@@ -127,9 +127,8 @@ def _cmd_verify_prop71(args) -> str:
     if args.n == 1:
         equal = True
     else:
-        equal = row_space_equal(
-            relation_rows(A, args.n, 2), relation_rows(A, args.n, args.n)
-        )
+        P = BnGPresentation(A, args.n)
+        equal = row_space_equal(P.relation_matrix, relation_rows(P, args.n))
     return _dump({"row_spaces_equal": equal})
 
 
@@ -186,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         p.set_defaults(func=func)
         return p
 
@@ -196,6 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         **{
             "--group": dict(required=True),
             "--n": dict(type=int, required=True),
+            "--format": dict(choices=("json", "csv"), default="json"),
         },
     )
     add(

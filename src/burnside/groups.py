@@ -299,7 +299,8 @@ def _split_abelian_basis(elems, mul, identity, order_of):
     if not nontrivial:
         return []
     orders = {x: order_of(x) for x in elems}
-    g = max(nontrivial, key=lambda x: (orders[x], -elems.index(x)))
+    # max keeps the first of equal keys: the earliest element of maximal order
+    g = max(nontrivial, key=orders.__getitem__)
     m = orders[g]
     # cosets of <g>
     cyc = [identity]

@@ -2,8 +2,7 @@
 
 Expands a symbol by the two-term blow-up move, by the general multi-index
 move (enumerating admissible index sets with their unique admissible
-coset), and generates the relation rows presenting the tuple group of a
-finite abelian group at a given dimension.
+coset), and generates the relation rows of a tuple-group presentation.
 """
 
 from __future__ import annotations
@@ -204,19 +203,19 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     return SymbolSum(out, _canonical=True)
 
 
-def relation_rows(A: AbelianGroup, n: int, j_max: int) -> IntMatrix:
-    """Relation matrix over the tuple generators of ``A`` at dimension ``n``.
+def relation_rows(P, j_max: int) -> IntMatrix:
+    """Relation matrix over the generators of a tuple-group presentation.
 
-    One deduplicated row per generator, ``j <= j_max`` and choice of ``j``
-    positions: the generator minus the sum of its transformed tuples, with
-    coordinates indexed by the generator enumeration.
+    ``P`` supplies the group ``A``, the dimension ``n``, the generators and
+    their index.  One deduplicated row per generator, ``j <= j_max`` and
+    choice of ``j`` positions: the generator minus the sum of its
+    transformed tuples, with coordinates indexed by ``P.generator_index``.
     """
-    from .bng import enumerate_generators
-
+    A, n = P.A, P.n
     if not (2 <= j_max <= n):
         raise InputError(f"j_max = {j_max} must satisfy 2 <= j_max <= {n}")
-    gens = enumerate_generators(A, n)
-    index = {g: k for k, g in enumerate(gens)}
+    gens = P.generators
+    index = P.generator_index
     rows = set()
     for gen in gens:
         for j in range(2, j_max + 1):

@@ -9,7 +9,6 @@ span the same row lattice iff their Hermite forms are identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -68,38 +67,6 @@ class IntMatrix:
                 else [0] * other.num_cols
             )
         return IntMatrix.from_rows(rows, other.num_cols)
-
-    # serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_lists(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "IntMatrix":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid matrix JSON: {exc}") from exc
-        if not isinstance(data, list) or any(
-            not isinstance(row, list) for row in data
-        ):
-            raise InputError("matrix JSON must be an array of arrays")
-        return IntMatrix.from_rows(data)
-
-    def to_csv(self) -> str:
-        return "".join(",".join(str(x) for x in row) + "\n" for row in self.entries)
-
-    @staticmethod
-    def from_csv(text: str) -> "IntMatrix":
-        rows = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                rows.append([int(cell) for cell in line.split(",")])
-            except ValueError as exc:
-                raise InputError(f"invalid matrix CSV line {line!r}") from exc
-        return IntMatrix.from_rows(rows)
 
 
 def det(M: IntMatrix) -> int:

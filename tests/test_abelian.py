@@ -1,8 +1,6 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from burnside import (
     AbelianGroup,
@@ -10,13 +8,7 @@ from burnside import (
     InvariantError,
     PreconditionError,
     generates,
-    kernel_of_characters,
-    quotient_with_projection,
     wedge_equivalent,
-)
-
-small_groups = st.sampled_from(
-    [(), (2,), (3,), (4,), (2, 2), (6,), (2, 4), (8,), (3, 3), (2, 2, 2)]
 )
 
 
@@ -52,88 +44,6 @@ class TestAbelianGroup:
             AbelianGroup.from_json('{"factors": [2]}')
         with pytest.raises(InputError):
             AbelianGroup.from_json('{"invariant_factors": [4, 2]}')
-
-
-class TestQuotient:
-    def test_z4_mod_2(self):
-        A = AbelianGroup((4,))
-        Abar, proj = quotient_with_projection(A, [(2,)])
-        # oracle: enumerate the quotient -> exactly 2 distinct images
-        assert Abar.order == 2
-        assert len({proj(a) for a in A.elements()}) == 2
-        assert proj((2,)) == Abar.zero()
-
-    def test_trivial_quotient_is_identity(self):
-        A = AbelianGroup((2, 4))
-        Abar, proj = quotient_with_projection(A, [])
-        assert Abar.order == A.order
-        images = [proj(a) for a in A.elements()]
-        assert len(set(images)) == A.order
-
-    def test_klein_four_diagonal(self):
-        A = AbelianGroup((2, 2))
-        Abar, proj = quotient_with_projection(A, [(1, 1)])
-        assert Abar.invariant_factors == (2,)
-        assert proj((1, 1)) == (0,)
-        assert proj((1, 0)) == proj((0, 1)) != (0,)
-
-    @given(small_groups, st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_order_multiplicativity(self, factors, data):
-        A = AbelianGroup(factors)
-        elems = list(A.elements())
-        S = data.draw(
-            st.lists(st.sampled_from(elems), min_size=0, max_size=3)
-        )
-        Abar, proj = quotient_with_projection(A, S)
-        span = A.subgroup_generated(S)
-        assert A.order == Abar.order * len(span)
-        # the projection kills exactly the span and is surjective
-        assert all(proj(s) == Abar.zero() for s in span)
-        assert len({proj(a) for a in elems}) == Abar.order
-
-    def test_projection_is_homomorphism(self):
-        A = AbelianGroup((2, 4))
-        Abar, proj = quotient_with_projection(A, [(1, 2)])
-        for a in A.elements():
-            for b in A.elements():
-                assert proj(A.add(a, b)) == Abar.add(proj(a), proj(b))
-
-
-class TestKernel:
-    def test_z4_doubling_character(self):
-        A = AbelianGroup((4,))
-        ker = kernel_of_characters(A, [(2,)])
-        assert ker.elements == frozenset({(0,), (2,)})
-        assert ker.structure().invariant_factors == (2,)
-
-    def test_empty_character_list(self):
-        A = AbelianGroup((2, 4))
-        ker = kernel_of_characters(A, [])
-        assert len(ker.elements) == A.order
-
-    def test_klein_four_diagonal_kernel(self):
-        A = AbelianGroup((2, 2))
-        ker = kernel_of_characters(A, [(1, 1)])
-        assert ker.elements == frozenset({(0, 0), (1, 1)})
-
-    @given(small_groups, st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_order_relation(self, factors, data):
-        A = AbelianGroup(factors)
-        elems = list(A.elements())
-        chars = data.draw(
-            st.lists(st.sampled_from(elems), min_size=1, max_size=2)
-        )
-        ker = kernel_of_characters(A, chars)
-        assert len(ker.elements) * len(A.subgroup_generated(chars)) == A.order
-        assert (A.zero() in ker) and ker.order % 1 == 0
-
-    def test_single_character_order(self):
-        A = AbelianGroup((2, 4))
-        for a in A.elements():
-            ker = kernel_of_characters(A, [a])
-            assert ker.order == A.order // A.element_order(a)
 
 
 class TestGenerates:

@@ -96,7 +96,7 @@ def test_criterion_1_structure_suite():
     for factors, n, want in (((2,), 2, (0, [])), ((3,), 2, (1, []))):
         A = AbelianGroup(factors)
         got = group_structure(A, n)
-        oracle = oracle_structure(relation_rows(A, n, 2))
+        oracle = oracle_structure(relation_rows(BnGPresentation(A, n), 2))
         if got != want or oracle != want:
             ok = False
             details.append(f"B_{n}({factors}) = {got}, oracle {oracle}, expected {want}")
@@ -109,7 +109,8 @@ def test_criterion_2_presentation_with_j2_only():
     for factors in ((2,), (3,), (4,), (5,), (2, 2)):
         A = AbelianGroup(factors)
         for n in (2, 3):
-            if not row_space_equal(relation_rows(A, n, 2), relation_rows(A, n, n)):
+            P = BnGPresentation(A, n)
+            if not row_space_equal(relation_rows(P, 2), relation_rows(P, n)):
                 ok = False
             checked += 1
     report(2, ok, f"j<=2 rows span all-j rows for {checked} (group, n) cases")

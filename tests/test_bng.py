@@ -55,6 +55,38 @@ class TestEnumeration:
             enumerate_generators(AbelianGroup((3,)), 0)
 
 
+class TestOneEnumeration:
+    """Each op enumerates the generators once, through its presentation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import burnside.bng
+
+        counted = []
+        original = burnside.bng.enumerate_generators
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(burnside.bng, "enumerate_generators", counting)
+        return counted
+
+    def test_structure(self, calls):
+        BnGPresentation(AbelianGroup((5,)), 3).structure()
+        assert len(calls) == 1
+
+    def test_verify_prop71(self, calls, capsys):
+        from burnside import cli
+
+        code = cli.run(
+            ["verify-prop71", "--group", '{"invariant_factors":[4]}', "--n", "3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
+        assert len(calls) == 1
+
+
 class TestStructure:
     def test_dimension_one_is_free_on_units(self):
         # no relations exist at dimension one

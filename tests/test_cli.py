@@ -112,6 +112,13 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "size error" in proc.stderr
 
+    def test_format_only_on_bng_structure(self):
+        group = '{"type":"abelian","invariant_factors":[3]}'
+        symbol = '{"subgroup":[0,1,2],"field":{"atom":{"name":"k","trdeg":0}},"beta":[[1],[1]],"n":2}'
+        proc = run_cli("canon", "--group", group, "--symbol", symbol, "--format", "csv")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     def test_non_generating_class(self):
         proc = run_cli(
             "bng-reduce", "--group", Z3, "--n", "2", "--class", "[[0],[0]]"

@@ -3,6 +3,7 @@ import pytest
 from burnside import (
     AbelianGroup,
     Atom,
+    BnGPresentation,
     ConstrA,
     FiniteGroup,
     InputError,
@@ -154,12 +155,12 @@ class TestProp46:
 class TestRelationRows:
     def test_z2_rows_frozen(self):
         # generators of Z/2 at n = 2: {0, 1} then {1, 1}
-        M = relation_rows(AbelianGroup((2,)), 2, 2)
+        M = relation_rows(BnGPresentation(AbelianGroup((2,)), 2), 2)
         assert M.to_lists() == [[-1, 1], [0, -1]]
 
     def test_z3_rows_frozen(self):
         # generators in order: {0,1}, {0,2}, {1,1}, {1,2}, {2,2}
-        M = relation_rows(AbelianGroup((3,)), 2, 2)
+        M = relation_rows(BnGPresentation(AbelianGroup((3,)), 2), 2)
         assert M.to_lists() == [
             [-1, 0, 1, 0, 0],
             [0, -1, 0, 0, 1],
@@ -168,7 +169,7 @@ class TestRelationRows:
         ]
 
     def test_rows_are_sorted_and_deduplicated(self):
-        M = relation_rows(AbelianGroup((5,)), 3, 2)
+        M = relation_rows(BnGPresentation(AbelianGroup((5,)), 3), 2)
         rows = M.to_lists()
         assert rows == sorted(rows)
         assert len(rows) == len({tuple(r) for r in rows})
@@ -177,9 +178,9 @@ class TestRelationRows:
     def test_j_max_validation(self):
         A = AbelianGroup((3,))
         with pytest.raises(InputError):
-            relation_rows(A, 2, 1)
+            relation_rows(BnGPresentation(A, 2), 1)
         with pytest.raises(InputError):
-            relation_rows(A, 2, 3)
+            relation_rows(BnGPresentation(A, 2), 3)
 
     def test_rows_agree_with_direct_expansion(self):
         # each row asserts generator = sum of its transformed generators;
@@ -188,7 +189,7 @@ class TestRelationRows:
         from burnside import enumerate_generators
 
         gens = enumerate_generators(A, 2)
-        M = relation_rows(A, 2, 2)
+        M = relation_rows(BnGPresentation(A, 2), 2)
         gen = ((1,), (2,))
         idx = gens.index(gen)
         # blow up at both positions: (1, 2) -> (1, 1) and (2, 3)
