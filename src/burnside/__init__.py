@@ -51,7 +51,6 @@ from .symbols import (
 )
 from .zlinalg import (
     IntMatrix,
-    cokernel_invariants,
     det,
     hermite_normal_form,
     row_space_equal,
@@ -81,7 +80,6 @@ __all__ = [
     "apply_dual",
     "canonicalize_symbol",
     "character_action",
-    "cokernel_invariants",
     "combine",
     "conjugate_symbol",
     "construction_a",

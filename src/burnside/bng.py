@@ -21,6 +21,9 @@ from .symbols import Atom, ConstrA, Symbol
 from .zlinalg import IntMatrix, smith_normal_form
 
 DEFAULT_MAX_CANDIDATES = 10**6
+# Dense cells of a relation matrix and its column transform; the list
+# slots alone of 10**7 cells take 80 MB
+MAX_RELATION_CELLS = 10**7
 
 
 def _candidate_bound() -> int:
@@ -39,16 +42,21 @@ def enumerate_generators(A: AbelianGroup, n: int, max_candidates=None):
     """All size-``n`` multisets of characters of ``A`` that generate ``A``.
 
     Zero entries are allowed; the output order is deterministic (sorted
-    tuples of character vectors, lexicographic).
+    tuples of character vectors, lexicographic).  Before any is built, the
+    candidate count and the relation cells it implies are bounded: a row per
+    candidate and pair of positions, a column per candidate, and the square
+    column transform.
     """
     if n < 1:
         raise InputError(f"dimension n = {n} must be positive")
     if max_candidates is None:
         max_candidates = _candidate_bound()
     count = math.comb(A.order + n - 1, n)
-    if count > max_candidates:
+    cells = count * count * (math.comb(n, 2) + 1)
+    if count > max_candidates or cells > MAX_RELATION_CELLS:
         raise SizeError(
-            f"{count} candidate multisets exceed the bound {max_candidates}"
+            f"{count} candidate multisets and about {cells} relation-matrix "
+            f"cells: the bounds are {max_candidates} and {MAX_RELATION_CELLS}"
         )
     gens = []
     for combo in itertools.combinations_with_replacement(A.elements(), n):
@@ -79,19 +87,12 @@ class BnGPresentation:
         return relation_rows(self, 2)
 
     @cached_property
-    def snf_data(self):
+    def snf_data(self) -> tuple[list[int], IntMatrix]:
+        """Smith divisors, one per generator, and the column transform V."""
         return smith_normal_form(self.relation_matrix)
 
-    @cached_property
-    def _divisors(self) -> list[int]:
-        S, _, _ = self.snf_data
-        diag = S.diagonal()
-        return [
-            diag[i] if i < len(diag) else 0 for i in range(len(self.generators))
-        ]
-
     def structure(self) -> tuple[int, list[int]]:
-        divisors = self._divisors
+        divisors, _ = self.snf_data
         free_rank = sum(1 for d in divisors if d == 0)
         torsion = [d for d in divisors if d > 1]
         return free_rank, torsion
@@ -128,18 +129,17 @@ def reduce_class(P: BnGPresentation, x) -> BnGClass:
     ``x`` maps generator multisets to coefficients.  Two combinations get
     the same normal form exactly when they differ by a relation row.
     """
-    vec = [0] * len(P.generators)
     items = x.items() if isinstance(x, dict) else x
-    for gen, coeff in items:
-        vec[P.generator_index[P.coerce_generator(gen)]] += int(coeff)
-    _, _, V = P.snf_data
-    image = [
-        sum(vec[i] * V.entries[i][k] for i in range(len(vec)))
-        for k in range(len(vec))
-    ]
+    terms = [(P.coerce_generator(gen), int(coeff)) for gen, coeff in items]
+    divisors, V = P.snf_data
+    # the image under V: the sum of the V rows of the generators present
+    image = [0] * len(divisors)
+    for gen, coeff in terms:
+        row = V.entries[P.generator_index[gen]]
+        image = [y + coeff * v for y, v in zip(image, row)]
     free = []
     torsion = []
-    for y, d in zip(image, P._divisors):
+    for y, d in zip(image, divisors):
         if d == 0:
             free.append(y)
         elif d > 1:

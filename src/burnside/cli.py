@@ -15,7 +15,7 @@ import sys
 from .abelian import AbelianGroup, wedge_equivalent
 from .bng import (
     BnGPresentation,
-    project_symbol,
+    equal_classes,
     reduce_class,
 )
 from .errors import BurnsideError, InputError, SizeError
@@ -102,8 +102,7 @@ def _cmd_bng_equal(args) -> str:
     P = BnGPresentation(A, args.n)
     x = _char_tuple(A, _json_value(args.x, "--x"), "--x")
     y = _char_tuple(A, _json_value(args.y, "--y"), "--y")
-    equal = reduce_class(P, {tuple(x): 1}) == reduce_class(P, {tuple(y): 1})
-    return _dump({"equal": equal})
+    return _dump({"equal": equal_classes(P, {tuple(x): 1}, {tuple(y): 1})})
 
 
 def _cmd_expand(args) -> str:
@@ -174,8 +173,15 @@ def _cmd_wedge(args) -> str:
     return _dump({"equivalent": wedge_equivalent(A, x, y)})
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an input error instead of exiting."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="burnside",
         description="Exact symbol calculus for equivariant Burnside groups.",
     )

@@ -1,10 +1,11 @@
 """Exact linear algebra over the integers.
 
-Smith and Hermite normal forms with unimodular transforms, computed with
-plain Python ints so intermediate coefficient growth is harmless.  The
-Hermite form is pinned to a fixed convention (row style, positive pivots,
-entries above a pivot reduced into ``[0, pivot)``) so that two matrices
-span the same row lattice iff their Hermite forms are identical.
+Smith divisors with a unimodular column transform, and Hermite normal
+forms, computed with plain Python ints so intermediate coefficient growth
+is harmless.  The Hermite form is pinned to a fixed convention (row style,
+positive pivots, entries above a pivot reduced into ``[0, pivot)``) so
+that two matrices span the same row lattice iff their Hermite forms are
+identical.
 """
 
 from __future__ import annotations
@@ -39,34 +40,12 @@ class IntMatrix:
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], n
         )
 
-    @staticmethod
-    def zero(m: int, n: int) -> "IntMatrix":
-        return IntMatrix.from_rows([[0] * n for _ in range(m)], n)
-
     @property
     def num_rows(self) -> int:
         return len(self.entries)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
-
-    def diagonal(self) -> list[int]:
-        return [
-            self.entries[i][i] for i in range(min(self.num_rows, self.num_cols))
-        ]
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.num_cols != other.num_rows:
-            raise InputError("matrix dimension mismatch in product")
-        cols = list(zip(*other.entries)) if other.entries else []
-        rows = []
-        for row in self.entries:
-            rows.append(
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                if cols
-                else [0] * other.num_cols
-            )
-        return IntMatrix.from_rows(rows, other.num_cols)
 
 
 def det(M: IntMatrix) -> int:
@@ -107,9 +86,7 @@ def _swap_cols(a, i, j):
 
 def _add_row(a, dst, src, q):
     # row[dst] -= q * row[src]
-    rs, rd = a[src], a[dst]
-    for c in range(len(rd)):
-        rd[c] -= q * rs[c]
+    a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
 
 
 def _add_col(a, dst, src, q):
@@ -117,44 +94,42 @@ def _add_col(a, dst, src, q):
         row[dst] -= q * row[src]
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return ``(S, U, V)`` with ``S = U @ M @ V`` in Smith normal form.
-
-    ``U`` and ``V`` are unimodular; ``S`` is diagonal with nonnegative
-    entries ``d_1 | d_2 | ...`` and zeros trailing the nonzero entries.
+def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """Return ``(divisors, V)``: the Smith divisors of ``M``, one per column
+    (``d_1 | d_2 | ...`` positive, then zeros for the free part), and a
+    unimodular column transform ``V``.  The rows of the product ``M V``
+    span exactly the multiples of ``divisors[k]`` in each column ``k``.
+    The row transform is not built.
     """
     m, n = M.num_rows, M.num_cols
     a = M.to_lists()
-    u = IntMatrix.identity(m).to_lists()
-    v = IntMatrix.identity(n).to_lists()
+    # the columns of V, so that a column operation is a row operation here
+    vcols = IntMatrix.identity(n).to_lists()
     t = 0
     while True:
-        # locate a pivot of minimal absolute value in the remaining block
-        piv = None
+        # the first pivot of minimal absolute value left; none beats a unit
+        piv, best = None, 0
         for i in range(t, m):
             for j in range(t, n):
-                x = a[i][j]
-                if x and (piv is None or abs(x) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
+                x = abs(a[i][j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
+            if best == 1:
+                break
         if piv is None:
             break
         _swap_rows(a, t, piv[0])
-        _swap_rows(u, t, piv[0])
         _swap_cols(a, t, piv[1])
-        _swap_cols(v, t, piv[1])
+        _swap_rows(vcols, t, piv[1])
         while True:
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
-                u[t] = [-x for x in u[t]]
             dirty = False
             for r in range(m):
                 if r != t and a[r][t]:
-                    q = a[r][t] // a[t][t]
-                    _add_row(a, r, t, q)
-                    _add_row(u, r, t, q)
+                    _add_row(a, r, t, a[r][t] // a[t][t])
                     if a[r][t]:
                         _swap_rows(a, t, r)
-                        _swap_rows(u, t, r)
                         dirty = True
             if dirty:
                 continue
@@ -162,35 +137,25 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                 if c != t and a[t][c]:
                     q = a[t][c] // a[t][t]
                     _add_col(a, c, t, q)
-                    _add_col(v, c, t, q)
+                    _add_row(vcols, c, t, q)
                     if a[t][c]:
                         _swap_cols(a, t, c)
-                        _swap_cols(v, t, c)
+                        _swap_rows(vcols, t, c)
                         dirty = True
             if dirty:
                 continue
-            # force the divisibility chain: fold in any non-multiple below
+            # force the divisibility chain: fold in any non-multiple below;
+            # a unit pivot divides everything
             pivot = a[t][t]
-            fixed = True
             for r in range(t + 1, m):
-                if any(x % pivot for x in a[r][t + 1 :]):
+                if pivot > 1 and any(x % pivot for x in a[r][t + 1 :]):
                     _add_row(a, t, r, -1)
-                    _add_row(u, t, r, -1)
-                    fixed = False
                     break
-            if fixed:
+            else:
                 break
         t += 1
-    S = IntMatrix.from_rows(a, n)
-    return S, IntMatrix.from_rows(u, m), IntMatrix.from_rows(v, n)
-
-
-def cokernel_invariants(M: IntMatrix) -> tuple[int, list[int]]:
-    """Structure of Z^cols modulo the row space: (free rank, torsion factors)."""
-    S, _, _ = smith_normal_form(M)
-    diag = S.diagonal()
-    nonzero = [d for d in diag if d]
-    return M.num_cols - len(nonzero), [d for d in nonzero if d > 1]
+    divisors = [a[k][k] for k in range(t)] + [0] * (n - t)
+    return divisors, IntMatrix.from_rows(zip(*vcols), n)
 
 
 def hermite_normal_form(M: IntMatrix) -> IntMatrix:

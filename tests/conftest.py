@@ -35,6 +35,12 @@ def minor_gcd(M: IntMatrix, k: int) -> int:
     return g
 
 
+def matmul(a, b):
+    """Product of two integer matrices given as row lists (textbook sums)."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 @pytest.fixture(scope="session")
 def d8():
     """Dihedral group of order 8 on 4 points: rho = 4-cycle, sigma = (0 2)."""

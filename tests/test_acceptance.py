@@ -28,7 +28,7 @@ from burnside import (
     wedge_equivalent,
 )
 from burnside.cli import emit_table
-from conftest import minor_gcd
+from conftest import matmul, minor_gcd
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -217,28 +217,27 @@ def test_criterion_7_smith_form_properties():
         M = IntMatrix.from_rows(
             [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         )
-        S, U, V = smith_normal_form(M)
-        diag = S.diagonal()
-        if (U @ M @ V) != S or abs(det(U)) != 1 or abs(det(V)) != 1:
+        divisors, V = smith_normal_form(M)
+        if len(divisors) != n or abs(det(V)) != 1:
             ok = False
+        # column k of M V lies in d_k Z, and is zero where d_k = 0
         if any(
-            x != 0
-            for i, row in enumerate(S.entries)
-            for j, x in enumerate(row)
-            if i != j
-        ) or any(d < 0 for d in diag):
+            x != 0 if d == 0 else x % d != 0
+            for row in matmul(M.to_lists(), V.to_lists())
+            for x, d in zip(row, divisors)
+        ) or any(d < 0 for d in divisors):
             ok = False
-        for a, b in zip(diag, diag[1:]):
+        for a, b in zip(divisors, divisors[1:]):
             if (a == 0 and b != 0) or (a != 0 and b % a != 0):
                 ok = False
         prod = 1
-        for k, d in enumerate(diag, start=1):
+        for k, d in enumerate(divisors, start=1):
             if d == 0:
                 break
             prod *= d
             if prod != minor_gcd(M, k):
                 ok = False
-    report(7, ok, "500 random matrices <=8x8: factorization, unimodularity, divisor chain, minor gcds")
+    report(7, ok, "500 random matrices <=8x8: M V columns in d_k Z, unimodular V, divisor chain, minor gcds")
 
 
 def test_criterion_8_cli_golden_files():

@@ -20,6 +20,7 @@ from burnside import (
     project_sum,
     project_symbol,
     reduce_class,
+    relation_rows,
 )
 from conftest import full_group_symbol
 
@@ -109,6 +110,18 @@ class TestReduce:
             for row in P.relation_matrix.to_lists():
                 x = {P.generators[i]: c for i, c in enumerate(row) if c}
                 assert reduce_class(P, x).is_zero()
+
+    def test_list_form_sums_repeated_generators(self):
+        # every relation row up to j = n, as (generator, coeff) pairs with
+        # the first generator split over two pairs
+        for factors, n in (((4,), 3), ((2, 2), 3), ((3,), 4)):
+            P = BnGPresentation(AbelianGroup(factors), n)
+            for row in relation_rows(P, n).to_lists():
+                terms = [(P.generators[i], c) for i, c in enumerate(row) if c]
+                g, c = terms[0]
+                pairs = [(g, c + 1)] + terms[1:] + [(g, -1)]
+                assert reduce_class(P, pairs) == reduce_class(P, dict(terms))
+                assert reduce_class(P, pairs).is_zero()
 
     def test_z3_hand_relations(self):
         P = BnGPresentation(AbelianGroup((3,)), 2)

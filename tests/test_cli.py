@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from burnside import cli
+
 GOLDEN = Path(__file__).parent / "golden"
 Z3 = '{"invariant_factors":[3]}'
 
@@ -111,6 +113,43 @@ class TestExitCodes:
         )
         assert proc.returncode == 3
         assert "size error" in proc.stderr
+
+    def test_relation_size_bound(self):
+        # 500,500 candidate multisets pass the candidate bound, but the
+        # relation matrix they imply does not: exit 3 before enumerating
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "burnside.cli",
+                "bng-structure",
+                "--group",
+                '{"invariant_factors":[1000]}',
+                "--n",
+                "2",
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("size error: ")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["canon", "--group", "x", "--symbol", "y", "--format", "csv"],
+            ["bng-structure", "--group", Z3],
+        ],
+        ids=["unknown-flag", "missing-n"],
+    )
+    def test_usage_error_returns_input_code(self, argv, capsys):
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: ")
+        assert err.count("\n") == 1
 
     def test_format_only_on_bng_structure(self):
         group = '{"type":"abelian","invariant_factors":[3]}'
