@@ -52,7 +52,6 @@ from .symbols import (
 from .zlinalg import (
     IntMatrix,
     det,
-    hermite_normal_form,
     row_space_equal,
     smith_normal_form,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "expand_prop46",
     "generates",
     "group_structure",
-    "hermite_normal_form",
     "project_symbol",
     "project_sum",
     "reduce_class",

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InputError, InvariantError, PreconditionError
+from .errors import is_int_rows, load_json
 from .zlinalg import IntMatrix, det
 
 
@@ -99,16 +100,11 @@ class AbelianGroup:
 
     @staticmethod
     def from_json(text: str) -> "AbelianGroup":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid group JSON: {exc}") from exc
+        data = load_json(text, "group JSON")
         if not isinstance(data, dict) or "invariant_factors" not in data:
             raise InputError('group JSON must contain "invariant_factors"')
         facs = data["invariant_factors"]
-        if not isinstance(facs, list) or any(
-            not isinstance(n, int) for n in facs
-        ):
+        if not is_int_rows([facs]):
             raise InputError('"invariant_factors" must be a list of integers')
         try:
             return AbelianGroup(tuple(facs))

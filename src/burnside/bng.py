@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,43 +19,28 @@ from .relations import relation_rows
 from .symbols import Atom, ConstrA, Symbol
 from .zlinalg import IntMatrix, smith_normal_form
 
-DEFAULT_MAX_CANDIDATES = 10**6
 # Dense cells of a relation matrix and its column transform; the list
 # slots alone of 10**7 cells take 80 MB
 MAX_RELATION_CELLS = 10**7
 
 
-def _candidate_bound() -> int:
-    value = os.environ.get("BURNSIDE_MAX_CANDIDATES")
-    if value is None:
-        return DEFAULT_MAX_CANDIDATES
-    try:
-        return int(value)
-    except ValueError as exc:
-        raise InputError(
-            f"BURNSIDE_MAX_CANDIDATES must be an integer, got {value!r}"
-        ) from exc
-
-
-def enumerate_generators(A: AbelianGroup, n: int, max_candidates=None):
+def enumerate_generators(A: AbelianGroup, n: int):
     """All size-``n`` multisets of characters of ``A`` that generate ``A``.
 
     Zero entries are allowed; the output order is deterministic (sorted
     tuples of character vectors, lexicographic).  Before any is built, the
-    candidate count and the relation cells it implies are bounded: a row per
+    relation cells implied by the candidate count are bounded: a row per
     candidate and pair of positions, a column per candidate, and the square
     column transform.
     """
     if n < 1:
         raise InputError(f"dimension n = {n} must be positive")
-    if max_candidates is None:
-        max_candidates = _candidate_bound()
     count = math.comb(A.order + n - 1, n)
     cells = count * count * (math.comb(n, 2) + 1)
-    if count > max_candidates or cells > MAX_RELATION_CELLS:
+    if cells > MAX_RELATION_CELLS:
         raise SizeError(
-            f"{count} candidate multisets and about {cells} relation-matrix "
-            f"cells: the bounds are {max_candidates} and {MAX_RELATION_CELLS}"
+            f"{count} candidate multisets imply about {cells} relation-matrix "
+            f"cells, over the bound {MAX_RELATION_CELLS}"
         )
     gens = []
     for combo in itertools.combinations_with_replacement(A.elements(), n):

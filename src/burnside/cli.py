@@ -18,7 +18,7 @@ from .bng import (
     equal_classes,
     reduce_class,
 )
-from .errors import BurnsideError, InputError, SizeError
+from .errors import BurnsideError, InputError, SizeError, is_int_rows, load_json
 from .groups import FiniteGroup
 from .relations import expand_b2, relation_rows
 from .symbols import Atom, Symbol, canonicalize_symbol
@@ -43,11 +43,7 @@ def _read_value(value: str) -> str:
 
 
 def _json_value(value: str, what: str):
-    text = _read_value(value)
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON for {what}: {exc}") from exc
+    return load_json(_read_value(value), f"JSON for {what}")
 
 
 def _dump(obj) -> str:
@@ -59,8 +55,8 @@ def _abelian_group(value: str) -> AbelianGroup:
 
 
 def _char_tuple(A: AbelianGroup, data, what: str):
-    if not isinstance(data, list) or any(not isinstance(c, list) for c in data):
-        raise InputError(f"{what} must be an array of character vectors")
+    if not is_int_rows(data):
+        raise InputError(f"{what} must be an array of integer character vectors")
     return [A.reduce(c) for c in data]
 
 

@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the checks that turn
+malformed JSON input into an ``InputError``."""
+
+import json
 
 
 class BurnsideError(Exception):
@@ -27,3 +30,21 @@ class DomainError(BurnsideError):
 
 class ProvenanceError(BurnsideError):
     """Field-label metadata needed for the computation is unresolved."""
+
+
+def load_json(text: str, what: str):
+    """Parse JSON text; text that is malformed or nested too deeply for the
+    parser is an ``InputError`` naming ``what``."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InputError(f"invalid {what}: {exc}") from exc
+
+
+def is_int_rows(value) -> bool:
+    """Whether a parsed JSON value is an array of arrays of integers
+    (booleans excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(type(x) is int for x in row)
+        for row in value
+    )

@@ -8,13 +8,13 @@ invariant-factor bases) is cached on first use and never mutated after.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .abelian import AbelianGroup
 from .errors import InputError, InvariantError, PreconditionError, SizeError
+from .errors import is_int_rows, load_json
 
 DEFAULT_CLOSURE_BOUND = 10**5
 
@@ -179,32 +179,28 @@ class FiniteGroup:
 
     @staticmethod
     def from_json(text: str) -> "FiniteGroup":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid group JSON: {exc}") from exc
+        data = load_json(text, "group JSON")
         if not isinstance(data, dict) or "type" not in data:
             raise InputError('group JSON must be an object with a "type" field')
         kind = data["type"]
         if kind == "permutation":
-            if "degree" not in data or "generators" not in data:
+            degree, perms = data.get("degree"), data.get("generators")
+            if type(degree) is not int or degree < 0 or not is_int_rows(perms):
                 raise InputError(
-                    'permutation group JSON needs "degree" and "generators"'
+                    'permutation group JSON needs a nonnegative integer "degree" '
+                    'and integer arrays "generators"'
                 )
-            return FiniteGroup.from_permutations(
-                data["degree"], data["generators"]
-            )
+            return FiniteGroup.from_permutations(degree, perms)
         if kind == "table":
-            if "cayley" not in data:
-                raise InputError('table group JSON needs "cayley"')
+            if not is_int_rows(data.get("cayley")):
+                raise InputError('table group JSON needs integer arrays "cayley"')
             return FiniteGroup(data["cayley"])
         if kind == "abelian":
-            if "invariant_factors" not in data:
-                raise InputError('abelian group JSON needs "invariant_factors"')
+            facs = data.get("invariant_factors")
+            if not is_int_rows([facs]):
+                raise InputError('"invariant_factors" must be a list of integers')
             try:
-                return FiniteGroup.from_invariant_factors(
-                    data["invariant_factors"]
-                )
+                return FiniteGroup.from_invariant_factors(facs)
             except InvariantError as exc:
                 raise InputError(str(exc)) from exc
         raise InputError(f"unknown group type {kind!r}")

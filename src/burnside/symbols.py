@@ -11,11 +11,10 @@ algebras.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from .abelian import AbelianGroup
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, is_int_rows, load_json
 from .groups import (
     FiniteGroup,
     SubgroupRef,
@@ -94,23 +93,21 @@ def field_from_json_obj(obj) -> FieldLabel:
         raise InputError("field label must be an object with one key")
     if "atom" in obj:
         a = obj["atom"]
+        if not isinstance(a, dict) or not isinstance(a.get("name"), str):
+            raise InputError('atom field label needs a string "name"')
+        ints = (a.get("trdeg"), a.get("deg", 1), a.get("components", 1))
+        if any(type(x) is not int for x in ints):
+            raise InputError('atom "trdeg", "deg" and "components" must be integers')
         try:
-            return Atom(
-                name=a["name"],
-                trdeg=a["trdeg"],
-                alg_closure_degree=a.get("deg", 1),
-                num_components=a.get("components", 1),
-            )
-        except (KeyError, TypeError, InvariantError) as exc:
+            return Atom(a["name"], *ints)
+        except InvariantError as exc:
             raise InputError(f"bad atom field label: {exc}") from exc
     if "constr_a" in obj:
         node = obj["constr_a"]
-        try:
-            base = field_from_json_obj(node["base"])
-            chars = tuple(tuple(int(x) for x in c) for c in node["chars"])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"bad constr_a field label: {exc}") from exc
-        return ConstrA(base=base, chars=chars)
+        if not isinstance(node, dict) or not is_int_rows(node.get("chars")):
+            raise InputError('constr_a field label needs integer arrays "chars"')
+        base = field_from_json_obj(node.get("base"))
+        return ConstrA(base=base, chars=tuple(tuple(c) for c in node["chars"]))
     raise InputError('field label key must be "atom" or "constr_a"')
 
 
@@ -161,28 +158,29 @@ class Symbol:
 
     @staticmethod
     def from_json_obj(group: FiniteGroup, obj) -> "Symbol":
+        if not isinstance(obj, dict):
+            raise InputError("symbol JSON must be an object")
         for key in ("subgroup", "field", "beta", "n"):
             if key not in obj:
                 raise InputError(f'symbol JSON is missing "{key}"')
-        sub = group.subgroup(obj["subgroup"])
-        try:
-            return Symbol(
-                group=group,
-                subgroup=sub,
-                field_label=field_from_json_obj(obj["field"]),
-                beta=tuple(tuple(int(x) for x in b) for b in obj["beta"]),
-                ambient_n=int(obj["n"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad symbol JSON: {exc}") from exc
+        elems = obj["subgroup"]
+        if not isinstance(elems, list) or any(
+            type(g) is not int or not 0 <= g < group.order for g in elems
+        ):
+            raise InputError(f'"subgroup" must list elements below {group.order}')
+        if not is_int_rows(obj["beta"]) or type(obj["n"]) is not int:
+            raise InputError('"beta" must hold integer arrays and "n" an integer')
+        return Symbol(
+            group=group,
+            subgroup=group.subgroup(elems),
+            field_label=field_from_json_obj(obj["field"]),
+            beta=tuple(tuple(b) for b in obj["beta"]),
+            ambient_n=obj["n"],
+        )
 
     @staticmethod
     def from_json(group: FiniteGroup, text: str) -> "Symbol":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid symbol JSON: {exc}") from exc
-        return Symbol.from_json_obj(group, obj)
+        return Symbol.from_json_obj(group, load_json(text, "symbol JSON"))
 
 
 class SymbolSum:

@@ -1,11 +1,8 @@
 """Exact linear algebra over the integers.
 
-Smith divisors with a unimodular column transform, and Hermite normal
-forms, computed with plain Python ints so intermediate coefficient growth
-is harmless.  The Hermite form is pinned to a fixed convention (row style,
-positive pivots, entries above a pivot reduced into ``[0, pivot)``) so
-that two matrices span the same row lattice iff their Hermite forms are
-identical.
+Smith divisors with a unimodular column transform, computed with plain
+Python ints so intermediate coefficient growth is harmless.  Row lattices
+are compared through their Smith divisors alone.
 """
 
 from __future__ import annotations
@@ -158,36 +155,24 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix]:
     return divisors, IntMatrix.from_rows(zip(*vcols), n)
 
 
-def hermite_normal_form(M: IntMatrix) -> IntMatrix:
-    """Canonical row-style Hermite normal form, zero rows removed."""
-    m, n = M.num_rows, M.num_cols
-    a = M.to_lists()
-    r = 0
-    for c in range(n):
-        while True:
-            live = [i for i in range(r, m) if a[i][c]]
-            if len(live) <= 1:
-                break
-            i = min(live, key=lambda k: (abs(a[k][c]), k))
-            for k in live:
-                if k != i:
-                    q = a[k][c] // a[i][c]
-                    _add_row(a, k, i, q)
-        live = [i for i in range(r, m) if a[i][c]]
-        if not live:
-            continue
-        _swap_rows(a, r, live[0])
-        if a[r][c] < 0:
-            a[r] = [-x for x in a[r]]
-        for k in range(r):
-            q = a[k][c] // a[r][c]
-            _add_row(a, k, r, q)
-        r += 1
-    return IntMatrix.from_rows(a[:r], n)
-
-
 def row_space_equal(M1: IntMatrix, M2: IntMatrix) -> bool:
-    """Whether the two matrices span the same sublattice of Z^cols."""
+    """Whether the two matrices span the same sublattice of Z^cols.
+
+    The lattices L1 and L2 are equal exactly when M1, M2 and their stacked
+    rows have the same Smith divisors: Z^cols / L1 maps onto
+    Z^cols / (L1 + L2), and a surjection between isomorphic finitely
+    generated abelian groups is an isomorphism.  When one row set contains
+    the other, the stacked rows span the larger lattice, so its Smith form
+    is not computed.  Equal divisors alone would not do: [[2, 0], [0, 1]]
+    and [[1, 0], [0, 2]] share them.
+    """
     if M1.num_cols != M2.num_cols:
         raise InputError("row_space_equal requires equal column counts")
-    return hermite_normal_form(M1) == hermite_normal_form(M2)
+    divisors, _ = smith_normal_form(M1)
+    if smith_normal_form(M2)[0] != divisors:
+        return False
+    rows1, rows2 = set(M1.entries), set(M2.entries)
+    if rows1 <= rows2 or rows2 <= rows1:
+        return True
+    stacked = IntMatrix(M1.entries + M2.entries, M1.num_cols)
+    return smith_normal_form(stacked)[0] == divisors

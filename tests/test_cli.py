@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burnside import cli
 
@@ -108,15 +112,15 @@ class TestExitCodes:
             ],
             capture_output=True,
             text=True,
-            env={**os.environ, "PATH": "", "BURNSIDE_MAX_CANDIDATES": "10"},
+            env={**os.environ, "PATH": ""},
             timeout=60,
         )
         assert proc.returncode == 3
         assert "size error" in proc.stderr
 
     def test_relation_size_bound(self):
-        # 500,500 candidate multisets pass the candidate bound, but the
-        # relation matrix they imply does not: exit 3 before enumerating
+        # the relation matrix implied by 500,500 candidate multisets is over
+        # the cells bound: exit 3 before enumerating
         proc = subprocess.run(
             [
                 sys.executable,
@@ -145,6 +149,43 @@ class TestExitCodes:
         ids=["unknown-flag", "missing-n"],
     )
     def test_usage_error_returns_input_code(self, argv, capsys):
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bng-reduce", "--group", Z3, "--n", "2", "--class", '[["a"],[1]]'],
+            ["wedge", "--group", '{"invariant_factors":[2,2]}',
+             "--x", "[[1,0],[0,1]]", "--y", '[[1,0],[0,"q"]]'],
+            ["wedge", "--group", Z3, "--x", "[[1]]", "--y", "[[true]]"],
+            ["canon", "--group", '{"type":"permutation","degree":"x","generators":[]}',
+             "--symbol", "{}"],
+            ["canon", "--group", '{"type":"permutation","degree":3,"generators":5}',
+             "--symbol", "{}"],
+            ["canon", "--group", '{"type":"table","cayley":5}', "--symbol", "{}"],
+            ["canon", "--group", '{"type":"table","cayley":[["a"]]}', "--symbol", "{}"],
+            ["canon", "--group", '{"type":"abelian","invariant_factors":[3]}',
+             "--symbol",
+             '{"subgroup":5,"field":{"atom":{"name":"k","trdeg":0}},"beta":[[1]],"n":1}'],
+            ["wedge", "--group", Z3, "--x", "[[1]]", "--y", "[" * 100000],
+        ],
+        ids=[
+            "class-string",
+            "wedge-string",
+            "wedge-bool",
+            "degree-string",
+            "generators-int",
+            "cayley-int",
+            "cayley-string",
+            "subgroup-int",
+            "nested-too-deep",
+        ],
+    )
+    def test_malformed_entries_return_input_code(self, argv, capsys):
         assert cli.run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -220,3 +261,81 @@ class TestOtherCommands:
         assert out["theta2_in_reflection_class"] is True
         assert len(out["raw_theta1"]) == 2
         assert len(out["raw_theta2"]) == 1
+
+
+# Arbitrary JSON, mixed into objects shaped like groups, symbols and field
+# labels so that the checks deep inside them are reached.  Integers stay
+# small, so every group that parses has a small order.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 5)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+_GROUP = st.fixed_dictionaries(
+    {"type": st.sampled_from(["abelian", "permutation", "table"]) | _JSON},
+    optional={
+        "invariant_factors": st.just([2, 4]) | _JSON,
+        "degree": st.integers(0, 4) | _JSON,
+        "generators": st.just([[1, 2, 3, 0]]) | _JSON,
+        "cayley": st.just([[0, 1], [1, 0]]) | _JSON,
+    },
+)
+_FIELD = st.deferred(
+    lambda: st.fixed_dictionaries(
+        {
+            "atom": st.fixed_dictionaries(
+                {"name": st.just("k") | _JSON, "trdeg": st.integers(0, 2) | _JSON},
+                optional={"deg": _JSON, "components": _JSON},
+            )
+            | _JSON
+        }
+    )
+    | st.fixed_dictionaries(
+        {"constr_a": st.fixed_dictionaries({"base": _FIELD | _JSON, "chars": _JSON})}
+    )
+)
+_SYMBOL = st.fixed_dictionaries(
+    {
+        "subgroup": st.sampled_from([[0, 1, 2, 3], [0, 2]]) | _JSON,
+        "field": _FIELD | _JSON,
+        "beta": st.just([[1], [3]]) | _JSON,
+        "n": st.integers(0, 3) | _JSON,
+    }
+)
+_Z4 = '{"type":"abelian","invariant_factors":[4]}'
+_Z4_SYMBOL = (
+    '{"subgroup":[0,1,2,3],"field":{"atom":{"name":"k","trdeg":0}},'
+    '"beta":[[1],[3]],"n":2}'
+)
+
+
+class TestFuzz:
+    """Arbitrary JSON exits 0, 2 or 3 with at most one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv,values",
+        [
+            (["bng-structure", "--group", None, "--n", "1"], _GROUP | _JSON),
+            (["bng-reduce", "--group", Z3, "--n", "2", "--class", None], _JSON),
+            (["bng-equal", "--group", Z3, "--n", "2", "--x", None, "--y", "[[1]]"], _JSON),
+            (["wedge", "--group", Z3, "--x", "[[1]]", "--y", None], _JSON),
+            (["canon", "--group", None, "--symbol", _Z4_SYMBOL], _GROUP | _JSON),
+            (["canon", "--group", _Z4, "--symbol", None], _SYMBOL | _JSON),
+        ],
+        ids=["group", "class", "x", "y", "finite-group", "symbol"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_json(self, argv, values, data):
+        value = json.dumps(data.draw(values))
+        # a dumped bare string is quoted, so it is never read as a file path
+        argv = [value if a is None else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 2, 3)
+        assert err.getvalue().count("\n") <= 1

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import burnside.zlinalg
 from burnside import (
     InputError,
     IntMatrix,
+    cli,
     det,
-    hermite_normal_form,
     row_space_equal,
     smith_normal_form,
 )
@@ -38,6 +39,18 @@ def check_snf(M):
         prod *= d
         assert prod == minor_gcd(M, k)
     return divisors, V
+
+
+def _row_pairs():
+    """Two integer matrices of up to 4 rows on the same 1 to 3 columns."""
+
+    def pair(cols):
+        rows = st.lists(
+            st.lists(st.integers(-6, 6), min_size=cols, max_size=cols), max_size=4
+        )
+        return st.tuples(rows, rows, st.just(cols))
+
+    return st.integers(1, 3).flatmap(pair)
 
 
 class TestSmithNormalForm:
@@ -97,14 +110,7 @@ class TestCokernel:
 
 
 class TestHermite:
-    def test_convention(self):
-        H = hermite_normal_form(IntMatrix.from_rows([[2, 7], [0, 3]]))
-        # positive pivots, entries above reduced into [0, pivot)
-        assert H.to_lists() == [[2, 1], [0, 3]]
-
-    def test_zero_rows_dropped(self):
-        H = hermite_normal_form(IntMatrix.from_rows([[0, 0], [1, 2]]))
-        assert H.to_lists() == [[1, 2]]
+    """Row-lattice equality, decided from Smith divisors."""
 
     def test_row_space_permutation_invariance(self):
         M = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
@@ -139,6 +145,53 @@ class TestHermite:
         changed[0] = [a + q * b for a, b in zip(changed[0], changed[-1])]
         if len(rows) > 1:
             assert row_space_equal(M, IntMatrix.from_rows(changed))
+
+    def test_equal_divisors_different_lattices(self):
+        # both have Smith divisors [1, 2]; neither lattice contains the other
+        assert not row_space_equal(
+            IntMatrix.from_rows([[2, 0], [0, 1]]),
+            IntMatrix.from_rows([[1, 0], [0, 2]]),
+        )
+
+    def test_equal_lattices_neither_row_set_contained(self):
+        assert row_space_equal(
+            IntMatrix.from_rows([[1, 0], [0, 1]]),
+            IntMatrix.from_rows([[1, 1], [0, 1]]),
+        )
+
+    @given(_row_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_minor_gcd_oracle(self, case):
+        # L1 = L2 iff L1, L2 and L1 + L2 have the same minor gcds at every
+        # size: their quotients of Z^cols are then isomorphic, and each
+        # maps onto the quotient by L1 + L2
+        rows1, rows2, cols = case
+        M1 = IntMatrix.from_rows(rows1, cols)
+        M2 = IntMatrix.from_rows(rows2, cols)
+        stacked = IntMatrix.from_rows(rows1 + rows2, cols)
+        expected = all(
+            minor_gcd(M1, k) == minor_gcd(M2, k) == minor_gcd(stacked, k)
+            for k in range(1, cols + 1)
+        )
+        assert row_space_equal(M1, M2) == expected
+
+    def test_verify_prop71_runs_two_smith_forms(self, monkeypatch, capsys):
+        # the j = 2 rows are a subset of the j <= n rows, so the Smith form
+        # of the stacked rows is skipped
+        counted = []
+        original = burnside.zlinalg.smith_normal_form
+
+        def counting(M):
+            counted.append(M.num_rows)
+            return original(M)
+
+        monkeypatch.setattr(burnside.zlinalg, "smith_normal_form", counting)
+        code = cli.run(
+            ["verify-prop71", "--group", '{"invariant_factors":[4]}', "--n", "3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
+        assert len(counted) == 2
 
 
 class TestSerialization:
