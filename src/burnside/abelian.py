@@ -81,12 +81,13 @@ class AbelianGroup:
 
     def subgroup_generated(self, gens) -> frozenset:
         gens = [self.reduce(g) for g in gens]
+        facs = self.invariant_factors
         seen = {self.zero()}
         frontier = [self.zero()]
         while frontier:
             cur = frontier.pop()
             for g in gens:
-                nxt = self.add(cur, g)
+                nxt = tuple((x + y) % n for x, y, n in zip(cur, g, facs))
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
@@ -112,9 +113,35 @@ class AbelianGroup:
             raise InputError(str(exc)) from exc
 
 
+def _prime_divisors(m: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+        while m % p == 0:
+            m //= p
+        p += 1
+    return primes + [m] if m > 1 else primes
+
+
 def generates(A: AbelianGroup, beta) -> bool:
-    """Whether the characters in ``beta`` generate all of ``A``."""
-    return len(A.subgroup_generated(beta)) == A.order
+    """Whether the characters in ``beta`` generate all of ``A``.
+
+    Frattini quotient test: for every prime ``p`` dividing the exponent they
+    must span ``A/pA = F_p^r``, read on the ``r`` factors that ``p`` divides.
+    """
+    beta = [A.reduce(b) for b in beta]
+    for p in _prime_divisors(A.exponent):
+        r = sum(1 for n in A.invariant_factors if n % p == 0)
+        rows = [[x % p for x in b[A.rank - r :]] for b in beta]
+        # eliminate over F_p (a pivot row clears itself); no pivot: rank < r
+        for c in range(r):
+            pivot = next((v for v in rows if v[c]), None)
+            if pivot is None:
+                return False
+            k = pow(pivot[c], -1, p)
+            rows = [[(x - v[c] * k * y) % p for x, y in zip(v, pivot)] for v in rows]
+    return True
 
 
 def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, generates
 from .errors import DomainError, InputError, ProvenanceError, SizeError
 from .relations import relation_rows
 from .symbols import Atom, ConstrA, Symbol
@@ -44,7 +44,7 @@ def enumerate_generators(A: AbelianGroup, n: int):
         )
     gens = []
     for combo in itertools.combinations_with_replacement(A.elements(), n):
-        if len(A.subgroup_generated(combo)) == A.order:
+        if generates(A, combo):
             gens.append(combo)
     return gens
 
@@ -66,7 +66,7 @@ class BnGPresentation:
 
     @cached_property
     def relation_matrix(self) -> IntMatrix:
-        if self.n == 1:
+        if self.n <= 1:  # n < 1 fails in enumerate_generators, before any row
             return IntMatrix.from_rows([], len(self.generators))
         return relation_rows(self, 2)
 

@@ -216,6 +216,8 @@ def relation_rows(P, j_max: int) -> IntMatrix:
         raise InputError(f"j_max = {j_max} must satisfy 2 <= j_max <= {n}")
     gens = P.generators
     index = P.generator_index
+    # generator entries are reduced characters: subtract without validation
+    facs = A.invariant_factors
     rows = set()
     for gen in gens:
         for j in range(2, j_max + 1):
@@ -228,7 +230,8 @@ def relation_rows(P, j_max: int) -> IntMatrix:
                     if a_i in head[:t]:
                         continue
                     transformed = [
-                        a_m if m == t else A.sub(a_m, a_i)
+                        a_m if m == t
+                        else tuple((x - y) % q for x, y, q in zip(a_m, a_i, facs))
                         for m, a_m in enumerate(head)
                     ] + tail
                     row[index[tuple(sorted(transformed))]] -= 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, generates
 from .errors import InputError, InvariantError, is_int_rows, load_json
 from .groups import (
     FiniteGroup,
@@ -132,7 +132,7 @@ class Symbol:
             )
         if any(all(x == 0 for x in b) for b in beta):
             raise InvariantError("weights must be nonzero characters")
-        if len(A.subgroup_generated(beta)) != A.order:
+        if not generates(A, beta):
             raise InvariantError("weights do not generate the character group")
 
     def key(self):

@@ -59,6 +59,27 @@ class TestGenerates:
     def test_trivial(self):
         assert generates(AbelianGroup(()), [])
 
+    @pytest.mark.parametrize(
+        "factors",
+        [(m,) for m in range(2, 13)]
+        + [(2, 2), (2, 4), (2, 6), (3, 9), (4, 4), (2, 2, 2)],
+        ids=str,
+    )
+    def test_matches_closure_oracle(self, factors):
+        # the F_p rank test against the size of the closure
+        A = AbelianGroup(factors)
+        for size in (1, 2, 3):
+            for beta in itertools.combinations_with_replacement(A.elements(), size):
+                want = len(A.subgroup_generated(beta)) == A.order
+                assert generates(A, beta) == want, beta
+
+    def test_unreduced_input(self):
+        A = AbelianGroup((2, 6))
+        assert generates(A, [(3, 0), (2, -1)])
+        assert not generates(A, [(1, 9), (3, 3)])
+        with pytest.raises(InputError):
+            generates(A, [(1,)])
+
 
 class TestWedge:
     def test_swap_invariance(self):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -47,6 +48,42 @@ class TestEnumeration:
     def test_dimension_validation(self):
         with pytest.raises(InputError):
             enumerate_generators(AbelianGroup((3,)), 0)
+        for n in (0, -1):
+            with pytest.raises(InputError, match=f"dimension n = {n} must"):
+                BnGPresentation(AbelianGroup((3,)), n).relation_matrix
+
+    @pytest.mark.parametrize("factors,n", [((12,), 3), ((2, 2), 4)])
+    def test_matches_closure_filter(self, factors, n):
+        A = AbelianGroup(factors)
+        want = [
+            combo
+            for combo in itertools.combinations_with_replacement(A.elements(), n)
+            if len(A.subgroup_generated(combo)) == A.order
+        ]
+        assert enumerate_generators(A, n) == want
+
+
+class TestNoClosureOnEnumeration:
+    """Generation is decided by the rank test, never by a closure."""
+
+    @pytest.fixture(autouse=True)
+    def no_closure(self, monkeypatch):
+        def refuse(self, gens):
+            raise AssertionError("subgroup_generated on the B_n path")
+
+        monkeypatch.setattr(AbelianGroup, "subgroup_generated", refuse)
+
+    def test_structure(self):
+        assert BnGPresentation(AbelianGroup((23,)), 2).structure() == (23, [22])
+
+    def test_bng_structure_cli(self, capsys):
+        from burnside import cli
+
+        code = cli.run(
+            ["bng-structure", "--group", '{"invariant_factors":[23]}', "--n", "2"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == '{"free_rank":23,"torsion":[22]}\n'
 
 
 class TestOneEnumeration:
@@ -94,6 +131,29 @@ class TestStructure:
 
     def test_z3_pairs_infinite_cyclic(self):
         assert group_structure(AbelianGroup((3,)), 2) == (1, [])
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_b2_prime_free_rank(self, p):
+        # Kontsevich-Pestun-Tschinkel: B_2(Z/p) has free rank (p^2 + 23)/24
+        free, _ = group_structure(AbelianGroup((p,)), 2)
+        assert free == (p * p + 23) // 24
+
+    @pytest.mark.parametrize(
+        "factors,n",
+        [((4,), 2), ((6,), 2), ((2, 4), 2), ((2, 2), 3), ((5,), 3), ((3,), 4)],
+    )
+    def test_matches_sympy_smith_form(self, factors, n):
+        pytest.importorskip("sympy")
+        from sympy import Matrix
+        from sympy.matrices.normalforms import smith_normal_form
+
+        P = BnGPresentation(AbelianGroup(factors), n)
+        M = P.relation_matrix
+        S = smith_normal_form(Matrix(M.to_lists()))
+        diagonal = [abs(S[k, k]) for k in range(min(S.shape))]
+        nonzero = [d for d in diagonal if d]
+        want = (M.num_cols - len(nonzero), sorted(d for d in nonzero if d > 1))
+        assert P.structure() == want
 
 
 class TestReduce:

@@ -192,6 +192,14 @@ class TestExitCodes:
         assert err.startswith("input error: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["bng-structure", "verify-prop71"])
+    def test_nonpositive_dimension(self, command, n, capsys):
+        assert cli.run([command, "--group", Z3, "--n", n]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: dimension n = {n} must be positive\n"
+
     def test_format_only_on_bng_structure(self):
         group = '{"type":"abelian","invariant_factors":[3]}'
         symbol = '{"subgroup":[0,1,2],"field":{"atom":{"name":"k","trdeg":0}},"beta":[[1],[1]],"n":2}'
