@@ -14,9 +14,12 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError, SizeError
 from .errors import is_int_rows, load_json
 from .zlinalg import IntMatrix, det
+
+# generates factors the exponent by trial division up to its square root
+MAX_EXPONENT = 10**12
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,6 @@ class AbelianGroup:
 
     def sub(self, a, b) -> tuple[int, ...]:
         return self.reduce(x - y for x, y in zip(self.reduce(a), self.reduce(b)))
-
-    def scale(self, k: int, a) -> tuple[int, ...]:
-        return self.reduce(k * x for x in self.reduce(a))
 
     def element_order(self, a) -> int:
         a = self.reduce(a)
@@ -130,6 +130,8 @@ def generates(A: AbelianGroup, beta) -> bool:
     Frattini quotient test: for every prime ``p`` dividing the exponent they
     must span ``A/pA = F_p^r``, read on the ``r`` factors that ``p`` divides.
     """
+    if A.exponent > MAX_EXPONENT:
+        raise SizeError(f"group exponent {A.exponent} exceeds bound {MAX_EXPONENT}")
     beta = [A.reduce(b) for b in beta]
     for p in _prime_divisors(A.exponent):
         r = sum(1 for n in A.invariant_factors if n % p == 0)

@@ -8,8 +8,7 @@ invariant-factor bases) is cached on first use and never mutated after.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import AbelianGroup
@@ -17,6 +16,8 @@ from .errors import InputError, InvariantError, PreconditionError, SizeError
 from .errors import is_int_rows, load_json
 
 DEFAULT_CLOSURE_BOUND = 10**5
+# S6, the largest group the benchmark runs, has 612 abelian subgroups
+MAX_ABELIAN_SUBGROUPS = 5000
 
 
 class FiniteGroup:
@@ -37,7 +38,6 @@ class FiniteGroup:
         if not _trusted:
             self._check_axioms()
         self.inverse = tuple(self._find_inverse(g) for g in range(n))
-        self.exponent_lcm = self._exponent_lcm()
 
     # construction helpers ------------------------------------------------
 
@@ -68,10 +68,6 @@ class FiniteGroup:
             if self.cayley[g][h] == self.identity:
                 return h
         raise InputError(f"element {g} has no inverse")
-
-    def _exponent_lcm(self) -> int:
-        # lcm of exponents of the abelian subgroups = lcm of element orders
-        return math.lcm(1, *(self.element_order(g) for g in range(self.order)))
 
     # elementary queries --------------------------------------------------
 
@@ -107,14 +103,6 @@ class FiniteGroup:
                     seen.add(nxt)
                     frontier.append(nxt)
         return frozenset(seen)
-
-    def normalizer(self, elems) -> tuple[int, ...]:
-        elems = frozenset(elems)
-        return tuple(
-            g
-            for g in range(self.order)
-            if frozenset(self.conj(g, h) for h in elems) == elems
-        )
 
     def is_abelian_subset(self, elems) -> bool:
         elems = tuple(elems)
@@ -210,43 +198,55 @@ class FiniteGroup:
     @cached_property
     def _abelian_subgroups(self) -> list[tuple[int, ...]]:
         """All abelian subgroups, as sorted element-index tuples."""
-        trivial = (self.identity,)
-        found = {frozenset(trivial)}
-        frontier = [frozenset(trivial)]
+        trivial = frozenset((self.identity,))
+        found = {trivial}
+        frontier = [trivial]
         while frontier:
             sub = frontier.pop()
             for g in range(self.order):
-                if g in sub:
+                if g in sub or not all(self.commute(g, h) for h in sub):
                     continue
-                if not all(self.commute(g, h) for h in sub):
-                    continue
-                ext = self.closure(set(sub) | {g})
-                if ext not in found and self.is_abelian_subset(ext):
+                # g centralizes sub, so <sub, g> is abelian: the cosets sub g^k
+                # up to the first power of g that lies in sub
+                ext, power = set(sub), g
+                while power not in sub:
+                    ext.update(self.mul(h, power) for h in sub)
+                    power = self.mul(power, g)
+                ext = frozenset(ext)
+                if ext not in found:
+                    if len(found) >= MAX_ABELIAN_SUBGROUPS:
+                        raise SizeError(
+                            f"abelian subgroups exceed bound {MAX_ABELIAN_SUBGROUPS}"
+                        )
                     found.add(ext)
                     frontier.append(ext)
         return sorted(tuple(sorted(s)) for s in found)
 
     @cached_property
     def _class_info(self) -> dict:
-        """subgroup -> (canonical class representative, least conjugator)."""
+        """subgroup -> (class representative, least conjugator, normalizer).
+
+        One conjugation pass per class gives the transporter T: image ->
+        every g with g sub g^-1 = image.  For g0 in T(img), the conjugators
+        from img to rep are T(rep) g0^-1 and the normalizer of img is
+        T(img) g0^-1.
+        """
         info = {}
         for sub in self._abelian_subgroups:
             if sub in info:
                 continue
-            orbit = {}
+            transporter = {}
             for g in range(self.order):
                 img = tuple(sorted(self.conj(g, h) for h in sub))
-                if img not in orbit:
-                    orbit[img] = g
-            rep = min(orbit)
-            for img, _ in orbit.items():
-                # least conjugator sending img to rep
-                conjugator = min(
-                    g
-                    for g in range(self.order)
-                    if tuple(sorted(self.conj(g, h) for h in img)) == rep
+                transporter.setdefault(img, []).append(g)
+            rep = min(transporter)
+            for img, into in transporter.items():
+                g0inv = self.inv(into[0])
+                info[img] = (
+                    rep,
+                    min(self.mul(g, g0inv) for g in transporter[rep]),
+                    tuple(sorted(self.mul(g, g0inv) for g in into)),
                 )
-                info[img] = (rep, conjugator)
         return info
 
     @cached_property
@@ -271,17 +271,24 @@ class FiniteGroup:
     def abelian_subgroup_classes(self) -> list["SubgroupRef"]:
         """One representative per conjugacy class of abelian subgroups."""
         reps = sorted(
-            {rep for rep, _ in self._class_info.values()},
+            {rep for rep, _, _ in self._class_info.values()},
             key=lambda s: (len(s), s),
         )
         return [self.subgroup(r) for r in reps]
 
-    def class_representative(self, elems) -> tuple[tuple[int, ...], int]:
-        """Canonical class representative of an abelian subgroup + conjugator."""
+    def _class_entry(self, elems) -> tuple:
         key = tuple(sorted(set(elems)))
         if key not in self._class_info:
             raise InputError("not an abelian subgroup of this group")
         return self._class_info[key]
+
+    def class_representative(self, elems) -> tuple[tuple[int, ...], int]:
+        """Canonical class representative of an abelian subgroup + conjugator."""
+        return self._class_entry(elems)[:2]
+
+    def normalizer(self, elems) -> tuple[int, ...]:
+        """Normalizer of an abelian subgroup, in increasing order."""
+        return self._class_entry(elems)[2]
 
 
 def _split_abelian_basis(elems, mul, identity, order_of):
@@ -342,7 +349,6 @@ class SubgroupRef:
 
     group: FiniteGroup
     elements: tuple[int, ...]
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __hash__(self):
         return hash((id(self.group), self.elements))
@@ -358,11 +364,9 @@ class SubgroupRef:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def normalizer(self) -> tuple[int, ...]:
-        if "normalizer" not in self._cache:
-            self._cache["normalizer"] = self.group.normalizer(self.elements)
-        return self._cache["normalizer"]
+        return self.group.normalizer(self.elements)
 
     @property
     def structure(self) -> AbelianGroup:
@@ -373,33 +377,29 @@ class SubgroupRef:
         """Generators realizing the invariant factors, as element indices."""
         return self._structure_data[1]
 
-    @property
+    @cached_property
     def _structure_data(self):
-        if "structure" not in self._cache:
-            G = self.group
-            elems = list(self.elements)
-            pairs = _split_abelian_basis(
-                elems, G.mul, G.identity, G.element_order
-            )
-            pairs.reverse()  # increasing orders = invariant factor order
-            factors = tuple(m for _, m in pairs)
-            basis = tuple(g for g, _ in pairs)
-            structure = AbelianGroup(factors)
-            to_coords = {}
-            from_coords = {}
-            for coords in itertools.product(*(range(m) for m in factors)):
-                x = G.identity
-                for b, k in zip(basis, coords):
-                    for _ in range(k):
-                        x = G.mul(x, b)
-                if x in to_coords:
-                    raise InvariantError("abelian basis is not independent")
-                to_coords[x] = coords
-                from_coords[coords] = x
-            if len(to_coords) != self.order:
-                raise InvariantError("abelian basis does not span the subgroup")
-            self._cache["structure"] = (structure, basis, to_coords, from_coords)
-        return self._cache["structure"]
+        G = self.group
+        elems = list(self.elements)
+        pairs = _split_abelian_basis(elems, G.mul, G.identity, G.element_order)
+        pairs.reverse()  # increasing orders = invariant factor order
+        factors = tuple(m for _, m in pairs)
+        basis = tuple(g for g, _ in pairs)
+        structure = AbelianGroup(factors)
+        to_coords = {}
+        from_coords = {}
+        for coords in itertools.product(*(range(m) for m in factors)):
+            x = G.identity
+            for b, k in zip(basis, coords):
+                for _ in range(k):
+                    x = G.mul(x, b)
+            if x in to_coords:
+                raise InvariantError("abelian basis is not independent")
+            to_coords[x] = coords
+            from_coords[coords] = x
+        if len(to_coords) != self.order:
+            raise InvariantError("abelian basis does not span the subgroup")
+        return structure, basis, to_coords, from_coords
 
     def coords(self, elem: int) -> tuple[int, ...]:
         """Invariant-factor coordinates of a subgroup element."""

@@ -204,10 +204,6 @@ class SymbolSum:
         self.terms = data
 
     @staticmethod
-    def zero() -> "SymbolSum":
-        return SymbolSum()
-
-    @staticmethod
     def of(*symbols: Symbol) -> "SymbolSum":
         return SymbolSum([(s, 1) for s in symbols])
 

@@ -48,6 +48,36 @@ def d8():
 
 
 @pytest.fixture(scope="session")
+def s4():
+    """Symmetric group on 4 points: a 4-cycle and a transposition."""
+    return FiniteGroup.from_permutations(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+
+
+@pytest.fixture(scope="session")
+def a5():
+    """Alternating group on 5 points: a 3-cycle and a 5-cycle."""
+    return FiniteGroup.from_permutations(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+
+
+def conjugate_by_scan(G, g, elems) -> tuple:
+    """g elems g^-1 as a sorted tuple, straight from the Cayley table."""
+    tab = G.cayley
+    ginv = next(x for x in range(G.order) if tab[g][x] == G.identity)
+    return tuple(sorted(tab[tab[g][h]][ginv] for h in elems))
+
+
+def normalizer_by_scan(G, elems) -> tuple:
+    """Every g with g elems g^-1 = elems, by a scan of the whole group."""
+    key = tuple(sorted(elems))
+    return tuple(g for g in range(G.order) if conjugate_by_scan(G, g, key) == key)
+
+
+def least_conjugator_by_scan(G, elems, target) -> int:
+    """The least g with g elems g^-1 = target, by a scan of the whole group."""
+    return min(g for g in range(G.order) if conjugate_by_scan(G, g, elems) == target)
+
+
+@pytest.fixture(scope="session")
 def d8_parts(d8):
     rho, sigma = 1, 2
     rho2 = d8.mul(rho, rho)

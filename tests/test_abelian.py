@@ -7,9 +7,11 @@ from burnside import (
     InputError,
     InvariantError,
     PreconditionError,
+    SizeError,
     generates,
     wedge_equivalent,
 )
+from burnside.abelian import MAX_EXPONENT
 
 
 class TestAbelianGroup:
@@ -79,6 +81,12 @@ class TestGenerates:
         assert not generates(A, [(1, 9), (3, 3)])
         with pytest.raises(InputError):
             generates(A, [(1,)])
+
+    def test_exponent_bound(self):
+        # the bound itself is factored (2^12 5^12); one above it is refused
+        assert generates(AbelianGroup((MAX_EXPONENT,)), [(1,)])
+        with pytest.raises(SizeError):
+            generates(AbelianGroup((MAX_EXPONENT + 1,)), [(1,)])
 
 
 class TestWedge:

@@ -140,6 +140,40 @@ class TestExitCodes:
         assert proc.stderr.startswith("size error: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_abelian_subgroup_bound(self):
+        # (Z/2)^7 has 29,212 abelian subgroups, over MAX_ABELIAN_SUBGROUPS
+        symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "burnside.cli",
+                "canon",
+                "--group",
+                '{"type":"abelian","invariant_factors":[2,2,2,2,2,2,2]}',
+                "--symbol",
+                symbol,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size error: ")
+        assert proc.stderr.count("\n") == 1
+
+    def test_exponent_bound(self, capsys):
+        # 1000036000099 = 1000003 * 1000033 is over MAX_EXPONENT; 1000003 is not
+        argv = ["wedge", "--x", "[[1]]", "--y", "[[1]]", "--group"]
+        assert cli.run(argv + ['{"invariant_factors":[1000036000099]}']) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("size error: ")
+        assert err.count("\n") == 1
+        assert cli.run(argv + ['{"invariant_factors":[1000003]}']) == 0
+        assert json.loads(capsys.readouterr().out) == {"equivalent": True}
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -10,6 +10,16 @@ from burnside import (
     character_action,
     transport_characters,
 )
+from conftest import conjugate_by_scan, least_conjugator_by_scan, normalizer_by_scan
+
+D8_GENERATORS = [[1, 2, 3, 0], [2, 1, 0, 3]]
+ABELIAN_FACTORS = {"z2^4": (2, 2, 2, 2), "z60": (60,), "z2xz4": (2, 4)}
+
+
+def _group(request, name):
+    if name in ABELIAN_FACTORS:
+        return FiniteGroup.from_invariant_factors(ABELIAN_FACTORS[name])
+    return request.getfixturevalue(name)
 
 
 class TestConstruction:
@@ -97,6 +107,60 @@ class TestSubgroups:
             # the representative is a fixed point of the reduction
             rep2, g2 = d8.class_representative(rep)
             assert rep2 == rep and g2 == d8.identity
+
+    @pytest.mark.parametrize(
+        "name,count",
+        # D8: 1, five of order 2, <rho> and two Klein groups.  S4: 1, nine of
+        # order 2, four of order 3, three cyclic and four Klein groups of
+        # order 4.  A5: 1, fifteen of order 2, ten of order 3, six of order 5
+        # and five Klein groups.  (Z/2)^4: the F_2-subspaces, 1 + 15 + 35 +
+        # 15 + 1.  Z/60: one subgroup per divisor of 60.
+        [("d8", 9), ("s4", 21), ("a5", 37), ("z2^4", 67), ("z60", 12)],
+    )
+    def test_abelian_subgroup_counts(self, request, name, count):
+        assert len(_group(request, name)._abelian_subgroups) == count
+
+    @pytest.mark.parametrize("name", ["d8", "s4", "a5", "z2xz4"])
+    def test_class_data_matches_scan(self, request, name):
+        G = _group(request, name)
+        for sub in G._abelian_subgroups:
+            rep, conjugator = G.class_representative(sub)
+            assert rep == min(conjugate_by_scan(G, g, sub) for g in range(G.order))
+            assert conjugator == least_conjugator_by_scan(G, sub, rep)
+            assert G.normalizer(sub) == normalizer_by_scan(G, sub)
+            assert G.subgroup(sub).normalizer == normalizer_by_scan(G, sub)
+
+    def test_class_data_conjugates_once_per_class(self, monkeypatch):
+        # one pass over G per class: |G| conjugations per element of the
+        # representative, and none for the other members of its orbit
+        G = FiniteGroup.from_permutations(5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]])
+        assert G.order == 120
+        conj, calls = FiniteGroup.conj, []
+
+        def counting_conj(self, g, h):
+            calls.append(None)
+            return conj(self, g, h)
+
+        monkeypatch.setattr(FiniteGroup, "conj", counting_conj)
+        G._class_info
+        monkeypatch.undo()
+        assert len(calls) <= G.order * sum(
+            rep.order for rep in G.abelian_subgroup_classes()
+        )
+
+    def test_normalizer_needs_abelian_subgroup(self, d8, d8_parts):
+        with pytest.raises(InputError):
+            d8.normalizer(range(8))  # not abelian
+        with pytest.raises(InputError):
+            d8.normalizer([d8.identity, d8_parts["rho"]])  # not closed
+
+    def test_abelian_subgroup_bound(self, monkeypatch):
+        # D8 has 9 abelian subgroups: a bound of 9 admits them, 8 does not
+        monkeypatch.setattr("burnside.groups.MAX_ABELIAN_SUBGROUPS", 9)
+        assert len(FiniteGroup.from_permutations(4, D8_GENERATORS)._abelian_subgroups) == 9
+        monkeypatch.setattr("burnside.groups.MAX_ABELIAN_SUBGROUPS", 8)
+        with pytest.raises(SizeError):
+            FiniteGroup.from_permutations(4, D8_GENERATORS)._abelian_subgroups
 
     def test_subgroup_rejects_bad_input(self, d8, d8_parts):
         rho = d8_parts["rho"]
