@@ -18,6 +18,8 @@ from .errors import is_int_rows, load_json
 DEFAULT_CLOSURE_BOUND = 10**5
 # S6, the largest group the benchmark runs, has 612 abelian subgroups
 MAX_ABELIAN_SUBGROUPS = 5000
+# largest order of a group built from invariant factors: its table has order² cells
+MAX_GROUP_ORDER = 2000
 
 
 class FiniteGroup:
@@ -158,12 +160,16 @@ class FiniteGroup:
     def from_invariant_factors(factors) -> "FiniteGroup":
         """Direct product of cyclic groups, elements in mixed-radix order."""
         A = AbelianGroup(tuple(factors))
+        if A.order > MAX_GROUP_ORDER:
+            raise SizeError(f"group order {A.order} exceeds bound {MAX_GROUP_ORDER}")
+        facs = A.invariant_factors
         elems = list(A.elements())
         index = {e: i for i, e in enumerate(elems)}
         table = [
-            [index[A.add(x, y)] for y in elems] for x in elems
+            [index[tuple((a + b) % q for a, b, q in zip(x, y, facs))] for y in elems]
+            for x in elems
         ]
-        return FiniteGroup(table, identity=index[A.zero()], _trusted=True)
+        return FiniteGroup(table, identity=0, _trusted=True)
 
     @staticmethod
     def from_json(text: str) -> "FiniteGroup":

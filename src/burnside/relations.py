@@ -224,8 +224,7 @@ def relation_rows(P, j_max: int) -> IntMatrix:
             for positions in itertools.combinations(range(n), j):
                 head = [gen[p] for p in positions]
                 tail = [gen[p] for p in range(n) if p not in positions]
-                row = [0] * len(gens)
-                row[index[gen]] += 1
+                row = {index[gen]: 1}
                 for t, a_i in enumerate(head):
                     if a_i in head[:t]:
                         continue
@@ -234,7 +233,11 @@ def relation_rows(P, j_max: int) -> IntMatrix:
                         else tuple((x - y) % q for x, y, q in zip(a_m, a_i, facs))
                         for m, a_m in enumerate(head)
                     ] + tail
-                    row[index[tuple(sorted(transformed))]] -= 1
-                if any(row):
-                    rows.add(tuple(row))
-    return IntMatrix.from_rows(sorted(rows), len(gens))
+                    k = index[tuple(sorted(transformed))]
+                    row[k] = row.get(k, 0) - 1
+                items = tuple(sorted((c, v) for c, v in row.items() if v))
+                if items:
+                    rows.add(items)
+    cols = range(len(gens))
+    dense = (tuple(map(dict(r).get, cols, itertools.repeat(0))) for r in rows)
+    return IntMatrix(tuple(sorted(dense)), len(gens))

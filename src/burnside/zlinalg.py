@@ -7,6 +7,8 @@ are compared through their Smith divisors alone.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -30,12 +32,6 @@ class IntMatrix:
         elif num_cols is None:
             num_cols = 0
         return IntMatrix(data, num_cols)
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)], n
-        )
 
     @property
     def num_rows(self) -> int:
@@ -91,17 +87,10 @@ def _add_col(a, dst, src, q):
         row[dst] -= q * row[src]
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """Return ``(divisors, V)``: the Smith divisors of ``M``, one per column
-    (``d_1 | d_2 | ...`` positive, then zeros for the free part), and a
-    unimodular column transform ``V``.  The rows of the product ``M V``
-    span exactly the multiples of ``divisors[k]`` in each column ``k``.
-    The row transform is not built.
-    """
-    m, n = M.num_rows, M.num_cols
-    a = M.to_lists()
-    # the columns of V, so that a column operation is a row operation here
-    vcols = IntMatrix.identity(n).to_lists()
+def _dense_smith(a, vcols) -> list[int]:
+    """Dense Smith pivots on the rows ``a``, each column operation mirrored
+    on the columns ``vcols`` of V; returns the nonzero divisors."""
+    m, n = len(a), len(vcols)
     t = 0
     while True:
         # the first pivot of minimal absolute value left; none beats a unit
@@ -151,8 +140,78 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix]:
             else:
                 break
         t += 1
-    divisors = [a[k][k] for k in range(t)] + [0] * (n - t)
-    return divisors, IntMatrix.from_rows(zip(*vcols), n)
+    return [a[k][k] for k in range(t)]
+
+
+def _has_unit(row: dict) -> bool:
+    return 1 in row.values() or -1 in row.values()
+
+
+def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """Return ``(divisors, V)``: the Smith divisors of ``M``, one per column
+    (``d_1 | d_2 | ...`` positive, then zeros for the free part), and a
+    unimodular column transform ``V``.  The rows of the product ``M V``
+    span exactly the multiples of ``divisors[k]`` in each column ``k``.
+    The row transform is not built.
+
+    Unit pivots go first, on sparse rows, in the dense loop's order (the
+    first row holding a +-1, at its first +-1) and with its swaps; they need
+    no division and no fold-in, so the result is the dense one bit for bit.
+    The dense loop runs only on the block left when no +-1 remains.
+    """
+    m, n = M.num_rows, M.num_cols
+    rows = [{j: x for j, x in enumerate(row) if x} for row in M.entries]
+    in_col = [set() for _ in range(n)]  # column -> the rows with an entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            in_col[j].add(i)
+    vcols = [{j: 1} for j in range(n)]  # V's columns, keyed like a's columns
+    row_at, row_pos = list(range(m)), list(range(m))
+    col_at, col_pos = list(range(n)), list(range(n))
+    # (position, row) for rows holding a unit; stale entries are skipped
+    heap = [(i, i) for i in range(m) if _has_unit(rows[i])]
+    t = 0
+    while heap:
+        pos, p = heapq.heappop(heap)
+        prow = rows[p]
+        if pos < t or row_pos[p] != pos or not _has_unit(prow):
+            continue
+        c = min((j for j, x in prow.items() if x in (1, -1)), key=col_pos.__getitem__)
+        r0, c0, cpos = row_at[t], col_at[t], col_pos[c]
+        row_at[t], row_at[pos], row_pos[p], row_pos[r0] = p, r0, t, pos
+        col_at[t], col_at[cpos], col_pos[c], col_pos[c0] = c, c0, t, cpos
+        if _has_unit(rows[r0]):
+            heapq.heappush(heap, (pos, r0))
+        if prow[c] < 0:
+            rows[p] = prow = {j: -x for j, x in prow.items()}
+        for r in in_col[c] - {p}:
+            row, q = rows[r], rows[r][c]
+            for j, x in prow.items():
+                y = row.get(j, 0) - q * x
+                if y:
+                    row[j] = y
+                    in_col[j].add(r)
+                else:
+                    del row[j]
+                    in_col[j].discard(r)
+            if _has_unit(row):
+                heapq.heappush(heap, (row_pos[r], r))
+        for j, x in prow.items():
+            in_col[j].discard(p)
+            if j != c:
+                vj = vcols[j]
+                for i, v in vcols[c].items():
+                    vj[i] = vj.get(i, 0) - x * v
+        t += 1
+    # the block from position t on; V's columns dense, in position order
+    a = [[rows[r].get(j, 0) for j in col_at[t:]] for r in row_at[t:]]
+    for j in col_at:  # in place, so that each dict is freed as it goes
+        vcols[j] = list(map(vcols[j].get, range(n), itertools.repeat(0)))
+    cols = [vcols[j] for j in col_at]
+    tail = cols[t:]
+    divisors = [1] * t + _dense_smith(a, tail)
+    divisors += [0] * (n - len(divisors))
+    return divisors, IntMatrix(tuple(zip(*cols[:t], *tail)), n)
 
 
 def row_space_equal(M1: IntMatrix, M2: IntMatrix) -> bool:

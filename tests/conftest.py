@@ -1,11 +1,14 @@
 """Shared fixtures and independent cross-check helpers."""
 
+import importlib.util
 import itertools
 import math
+import sys
+from pathlib import Path
 
 import pytest
 
-from burnside import AbelianGroup, Atom, FiniteGroup, IntMatrix, Symbol
+from burnside import AbelianGroup, Atom, BnGPresentation, FiniteGroup, IntMatrix, Symbol
 
 
 def laplace_det(rows):
@@ -33,6 +36,126 @@ def minor_gcd(M: IntMatrix, k: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+def dense_smith_reference(M: IntMatrix) -> tuple[list[int], IntMatrix]:
+    """``(divisors, V)`` from the dense pivot loop alone, on full-width rows.
+
+    Every step scans for the first pivot of least absolute value, clears
+    its row and column, and folds in a row the pivot does not divide; V
+    takes every column operation.  The library must match it bit for bit.
+    """
+    m, n = M.num_rows, M.num_cols
+    a = M.to_lists()
+    vcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+
+    def add_row(rows, dst, src, q):
+        rows[dst] = [x - q * y for x, y in zip(rows[dst], rows[src])]
+
+    def add_col(rows, dst, src, q):
+        for row in rows:
+            row[dst] -= q * row[src]
+
+    def swap(rows, i, j):
+        rows[i], rows[j] = rows[j], rows[i]
+
+    def swap_cols(rows, i, j):
+        for row in rows:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while True:
+        piv, best = None, 0
+        for i in range(t, m):
+            for j in range(t, n):
+                x = abs(a[i][j])
+                if x and (piv is None or x < best):
+                    piv, best = (i, j), x
+            if best == 1:
+                break
+        if piv is None:
+            break
+        swap(a, t, piv[0])
+        swap_cols(a, t, piv[1])
+        swap(vcols, t, piv[1])
+        while True:
+            if a[t][t] < 0:
+                a[t] = [-x for x in a[t]]
+            dirty = False
+            for r in range(m):
+                if r != t and a[r][t]:
+                    add_row(a, r, t, a[r][t] // a[t][t])
+                    if a[r][t]:
+                        swap(a, t, r)
+                        dirty = True
+            if dirty:
+                continue
+            for c in range(n):
+                if c != t and a[t][c]:
+                    q = a[t][c] // a[t][t]
+                    add_col(a, c, t, q)
+                    add_row(vcols, c, t, q)
+                    if a[t][c]:
+                        swap_cols(a, t, c)
+                        swap(vcols, t, c)
+                        dirty = True
+            if dirty:
+                continue
+            pivot = a[t][t]
+            for r in range(t + 1, m):
+                if pivot > 1 and any(x % pivot for x in a[r][t + 1 :]):
+                    add_row(a, t, r, -1)
+                    break
+            else:
+                break
+        t += 1
+    divisors = [a[k][k] for k in range(t)] + [0] * (n - t)
+    return divisors, IntMatrix.from_rows(zip(*vcols), n)
+
+
+def dense_relation_rows(P, j_max: int) -> IntMatrix:
+    """The relation matrix of a presentation built as full-width rows,
+    deduplicated and sorted as tuples: the library must match it."""
+    n = P.n
+    gens = P.generators
+    index = P.generator_index
+    facs = P.A.invariant_factors
+    rows = set()
+    for gen in gens:
+        for j in range(2, j_max + 1):
+            for positions in itertools.combinations(range(n), j):
+                head = [gen[p] for p in positions]
+                tail = [gen[p] for p in range(n) if p not in positions]
+                row = [0] * len(gens)
+                row[index[gen]] += 1
+                for t, a_i in enumerate(head):
+                    if a_i in head[:t]:
+                        continue
+                    transformed = [
+                        a_m if m == t
+                        else tuple((x - y) % q for x, y, q in zip(a_m, a_i, facs))
+                        for m, a_m in enumerate(head)
+                    ] + tail
+                    row[index[tuple(sorted(transformed))]] -= 1
+                if any(row):
+                    rows.add(tuple(row))
+    return IntMatrix.from_rows(sorted(rows), len(gens))
+
+
+def table_presentations():
+    """A presentation for every pair of the benchmark's fixed structure
+    table (``TABLE_FIXED`` in ``perfbench/workloads.py``), with its
+    relation depths: 2 and, when it differs, n."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    out = []
+    for factors, n in workloads.TABLE_FIXED:
+        P = BnGPresentation(AbelianGroup(factors), n)
+        out.extend((P, j) for j in sorted({2, n}))
+    return out
 
 
 def matmul(a, b):

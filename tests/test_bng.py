@@ -132,7 +132,9 @@ class TestStructure:
     def test_z3_pairs_infinite_cyclic(self):
         assert group_structure(AbelianGroup((3,)), 2) == (1, [])
 
-    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+    @pytest.mark.parametrize(
+        "p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
+    )
     def test_b2_prime_free_rank(self, p):
         # Kontsevich-Pestun-Tschinkel: B_2(Z/p) has free rank (p^2 + 23)/24
         free, _ = group_structure(AbelianGroup((p,)), 2)

@@ -140,6 +140,29 @@ class TestExitCodes:
         assert proc.stderr.startswith("size error: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_group_order_bound(self):
+        # Z/2500 is over MAX_GROUP_ORDER: exit 3 before its table is built
+        symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "burnside.cli",
+                "canon",
+                "--group",
+                '{"type":"abelian","invariant_factors":[2500]}',
+                "--symbol",
+                symbol,
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size error: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_abelian_subgroup_bound(self):
         # (Z/2)^7 has 29,212 abelian subgroups, over MAX_ABELIAN_SUBGROUPS
         symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'

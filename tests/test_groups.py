@@ -1,6 +1,7 @@
 import pytest
 
 from burnside import (
+    AbelianGroup,
     FiniteGroup,
     InputError,
     InvariantError,
@@ -10,6 +11,7 @@ from burnside import (
     character_action,
     transport_characters,
 )
+from burnside.groups import MAX_GROUP_ORDER
 from conftest import conjugate_by_scan, least_conjugator_by_scan, normalizer_by_scan
 
 D8_GENERATORS = [[1, 2, 3, 0], [2, 1, 0, 3]]
@@ -43,6 +45,23 @@ class TestConstruction:
         G = FiniteGroup.from_permutations(5, [[1, 0, 3, 4, 2]])
         assert G.order == 6
         assert G.full_subgroup().structure.invariant_factors == (6,)
+
+    @pytest.mark.parametrize("factors", [(2, 4), (3, 3), (12,), (2, 2, 2), (2, 6)])
+    def test_invariant_factor_table_matches_add(self, factors):
+        A = AbelianGroup(factors)
+        elems = list(A.elements())
+        index = {e: i for i, e in enumerate(elems)}
+        want = tuple(tuple(index[A.add(x, y)] for y in elems) for x in elems)
+        G = FiniteGroup.from_invariant_factors(factors)
+        assert G.cayley == want
+        assert G.identity == index[A.zero()]
+
+    def test_group_order_bound(self):
+        # checked on the order, before any element or table row is built
+        with pytest.raises(SizeError):
+            FiniteGroup.from_invariant_factors((MAX_GROUP_ORDER + 1,))
+        with pytest.raises(SizeError):
+            FiniteGroup.from_invariant_factors((10**9, 10**9))
 
     def test_bad_permutation(self):
         with pytest.raises(InputError):

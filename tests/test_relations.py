@@ -20,7 +20,12 @@ from burnside.relations import (
     VANISHED_EQUAL_WEIGHTS,
     VANISHED_NONE,
 )
-from conftest import full_group_symbol, generating_multisets
+from conftest import (
+    dense_relation_rows,
+    full_group_symbol,
+    generating_multisets,
+    table_presentations,
+)
 
 
 class TestExpandB2:
@@ -174,6 +179,11 @@ class TestRelationRows:
         assert rows == sorted(rows)
         assert len(rows) == len({tuple(r) for r in rows})
         assert all(any(r) for r in rows)
+
+    def test_matches_dense_oracle_on_table(self):
+        # sparse rows, deduplicated and ordered as their dense tuples
+        for P, j in table_presentations():
+            assert relation_rows(P, j) == dense_relation_rows(P, j), (P.A, P.n, j)
 
     def test_j_max_validation(self):
         A = AbelianGroup((3,))
