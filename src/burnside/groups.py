@@ -8,29 +8,40 @@ invariant-factor bases) is cached on first use and never mutated after.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq, itemgetter
 
 from .abelian import AbelianGroup
 from .errors import InputError, InvariantError, PreconditionError, SizeError
 from .errors import is_int_rows, load_json
 
-DEFAULT_CLOSURE_BOUND = 10**5
 # S6, the largest group the benchmark runs, has 612 abelian subgroups
 MAX_ABELIAN_SUBGROUPS = 5000
-# largest order of a group built from invariant factors: its table has order² cells
+# largest order of a group a constructor builds: its table has order² cells
 MAX_GROUP_ORDER = 2000
+
+
+def _table_rows(left, parents) -> tuple:
+    """Cayley table rows: element 0 is the identity, element y >= 1 is g_k x
+    for ``parents[y - 1] = (x, k)`` with x < y, and left[k][x] indexes g_k x."""
+    rows = [tuple(range(len(parents) + 1))]
+    for x, k in parents:  # (g_k x) q = g_k (x q): row x mapped by left[k]
+        rows.append(tuple(map(left[k].__getitem__, rows[x])))
+    return tuple(rows)
 
 
 class FiniteGroup:
     """A finite group given by its Cayley table over element indices."""
 
     def __init__(self, cayley, identity=None, _trusted=False):
-        table = tuple(tuple(int(x) for x in row) for row in cayley)
+        # the constructors hand over rows that are tuples of ints already
+        table = tuple(cayley if _trusted else (tuple(map(int, r)) for r in cayley))
         n = len(table)
         if any(len(row) != n for row in table):
             raise InputError("Cayley table must be square")
-        if any(x < 0 or x >= n for row in table for x in row):
+        if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
             raise InputError("Cayley table entries out of range")
         self.cayley = table
         self.order = n
@@ -39,37 +50,42 @@ class FiniteGroup:
         self.identity = identity
         if not _trusted:
             self._check_axioms()
-        self.inverse = tuple(self._find_inverse(g) for g in range(n))
+        try:
+            self.inverse = tuple(row.index(identity) for row in table)
+        except ValueError:
+            g = next(g for g, row in enumerate(table) if identity not in row)
+            raise InputError(f"element {g} has no inverse") from None
 
     # construction helpers ------------------------------------------------
 
     def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(
-                self.cayley[e][g] == g == self.cayley[g][e]
-                for g in range(self.order)
-            ):
+        ident = tuple(range(self.order))
+        for e, row in enumerate(self.cayley):
+            if row == ident and tuple(map(itemgetter(e), self.cayley)) == ident:
                 return e
         raise InputError("Cayley table has no identity element")
 
     def _check_axioms(self):
-        n = self.order
+        """Associativity by Light's test: the elements a with (x a) y =
+        x (a y) for all x, y are closed under the product, so it suffices to
+        test a generating set of the table as a magma, found greedily by
+        closure under products in both orders."""
         tab = self.cayley
-        for a in range(n):
-            for b in range(n):
-                ab = tab[a][b]
-                for c in range(n):
-                    if tab[ab][c] != tab[a][tab[b][c]]:
-                        raise InputError("Cayley table is not associative")
-        for g in range(n):
-            if self.identity not in tab[g]:
-                raise InputError(f"element {g} has no inverse")
-
-    def _find_inverse(self, g: int) -> int:
-        for h in range(self.order):
-            if self.cayley[g][h] == self.identity:
-                return h
-        raise InputError(f"element {g} has no inverse")
+        reached, gens = set(), []
+        for a in range(self.order):
+            new = [] if a in reached else [a]
+            gens += new
+            reached.update(new)
+            while new:
+                z = new.pop()
+                members = list(reached)
+                prods = set(map(tab[z].__getitem__, members))
+                prods.update(map(itemgetter(z), map(tab.__getitem__, members)))
+                new += prods - reached
+                reached |= prods
+        for a, row in itertools.product(gens, tab):
+            if tab[row[a]] != tuple(map(row.__getitem__, tab[a])):
+                raise InputError("Cayley table is not associative")
 
     # elementary queries --------------------------------------------------
 
@@ -119,7 +135,7 @@ class FiniteGroup:
     # constructors --------------------------------------------------------
 
     @staticmethod
-    def from_permutations(degree, perms, max_order=DEFAULT_CLOSURE_BOUND):
+    def from_permutations(degree, perms, max_order=MAX_GROUP_ORDER):
         """Closure of permutations on ``{0..degree-1}`` under composition.
 
         Elements are indexed breadth-first from the identity, applying the
@@ -132,29 +148,22 @@ class FiniteGroup:
                 raise InputError(f"not a permutation of {degree} points: {p}")
             gens.append(p)
         ident = tuple(range(degree))
-        elems = [ident]
-        index = {ident: 0}
-        queue = [ident]
-        while queue:
-            cur = queue.pop(0)
-            for g in gens:
-                nxt = tuple(g[cur[i]] for i in range(degree))
-                if nxt not in index:
+        elems, index = [ident], {ident: 0}
+        left, parents = [[] for _ in gens], []
+        for x, cur in enumerate(elems):
+            for k, g in enumerate(gens):
+                nxt = tuple(map(g.__getitem__, cur))
+                j = index.get(nxt)
+                if j is None:
                     if len(elems) >= max_order:
                         raise SizeError(
                             f"permutation closure exceeds bound {max_order}"
                         )
-                    index[nxt] = len(elems)
+                    j = index[nxt] = len(elems)
                     elems.append(nxt)
-                    queue.append(nxt)
-        table = [
-            [
-                index[tuple(p[q[i]] for i in range(degree))]
-                for q in elems
-            ]
-            for p in elems
-        ]
-        return FiniteGroup(table, identity=0, _trusted=True)
+                    parents.append((x, k))
+                left[k].append(j)
+        return FiniteGroup(_table_rows(left, parents), identity=0, _trusted=True)
 
     @staticmethod
     def from_invariant_factors(factors) -> "FiniteGroup":
@@ -163,13 +172,18 @@ class FiniteGroup:
         if A.order > MAX_GROUP_ORDER:
             raise SizeError(f"group order {A.order} exceeds bound {MAX_GROUP_ORDER}")
         facs = A.invariant_factors
-        elems = list(A.elements())
-        index = {e: i for i, e in enumerate(elems)}
-        table = [
-            [index[tuple((a + b) % q for a, b, q in zip(x, y, facs))] for y in elems]
-            for x in elems
+        strides = [math.prod(facs[k + 1 :]) for k in range(len(facs))]
+        # left[k] adds the unit vector e_k: stride s, cyclic in blocks of q s
+        left = [
+            [x - x % (q * s) + (x + s) % (q * s) for x in range(A.order)]
+            for q, s in zip(facs, strides)
         ]
-        return FiniteGroup(table, identity=0, _trusted=True)
+        parents = []
+        for x in range(1, A.order):
+            # x - e_k for the last nonzero coordinate k: the first stride dividing x
+            k = next(k for k, s in enumerate(strides) if x % s == 0)
+            parents.append((x - strides[k], k))
+        return FiniteGroup(_table_rows(left, parents), identity=0, _trusted=True)
 
     @staticmethod
     def from_json(text: str) -> "FiniteGroup":
@@ -203,29 +217,44 @@ class FiniteGroup:
 
     @cached_property
     def _abelian_subgroups(self) -> list[tuple[int, ...]]:
-        """All abelian subgroups, as sorted element-index tuples."""
+        """All abelian subgroups, as sorted element-index tuples.  Each is
+        extended by the elements of C(sub) - sub; C(<sub, g>) = C(sub) & C(g)."""
+        tab, n = self.cayley, self.order
+        whole = frozenset(range(n))
+        centralizer = []
+        for g, row in enumerate(tab):
+            commuting = map(eq, row, map(itemgetter(g), tab))
+            c = frozenset(itertools.compress(range(n), commuting))
+            # centralizers equal to G, and intersections that change nothing,
+            # share one set: 2000 copies of Z/2000 would take 400 MiB
+            centralizer.append(whole if len(c) == n else c)
         trivial = frozenset((self.identity,))
         found = {trivial}
-        frontier = [trivial]
+        frontier = [(trivial, whole)]
         while frontier:
-            sub = frontier.pop()
-            for g in range(self.order):
-                if g in sub or not all(self.commute(g, h) for h in sub):
+            sub, cent = frontier.pop()
+            done = set(sub)
+            for g in cent:
+                if g in done:
                     continue
                 # g centralizes sub, so <sub, g> is abelian: the cosets sub g^k
                 # up to the first power of g that lies in sub
-                ext, power = set(sub), g
+                cosets, power = [sub], g
                 while power not in sub:
-                    ext.update(self.mul(h, power) for h in sub)
-                    power = self.mul(power, g)
-                ext = frozenset(ext)
+                    cosets.append(tuple(map(tab[power].__getitem__, sub)))
+                    power = tab[power][g]
+                ext, m = frozenset().union(*cosets), len(cosets)
+                # each element of sub g^k with k prime to m = [ext : sub]
+                # generates ext together with sub
+                done.update(*(c for k, c in enumerate(cosets) if math.gcd(k, m) == 1))
                 if ext not in found:
                     if len(found) >= MAX_ABELIAN_SUBGROUPS:
                         raise SizeError(
                             f"abelian subgroups exceed bound {MAX_ABELIAN_SUBGROUPS}"
                         )
                     found.add(ext)
-                    frontier.append(ext)
+                    cg = centralizer[g]
+                    frontier.append((ext, cent if cent <= cg else cent & cg))
         return sorted(tuple(sorted(s)) for s in found)
 
     @cached_property

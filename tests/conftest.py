@@ -164,6 +164,69 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
 
+def permutation_closure(degree, perms) -> list[tuple]:
+    """Elements generated by ``perms``, breadth-first from the identity,
+    applying the generators in their given order."""
+    ident = tuple(range(degree))
+    elems, seen = [ident], {ident}
+    for cur in elems:
+        for g in perms:
+            nxt = tuple(g[cur[i]] for i in range(degree))
+            if nxt not in seen:
+                seen.add(nxt)
+                elems.append(nxt)
+    return elems
+
+
+def table_by_composition(elems, compose) -> tuple:
+    """Cayley table by composing every pair of elements, one cell at a time."""
+    index = {x: i for i, x in enumerate(elems)}
+    return tuple(tuple(index[compose(p, q)] for q in elems) for p in elems)
+
+
+def compose_permutations(p, q):
+    """p after q."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def abelian_subgroups_by_scan(G) -> list:
+    """Every abelian subgroup, by extending each one found with every
+    element that commutes with all of it, straight from the Cayley table."""
+    tab = G.cayley
+    trivial = frozenset((G.identity,))
+    found, frontier = {trivial}, [trivial]
+    while frontier:
+        sub = frontier.pop()
+        for g in range(G.order):
+            if g in sub or any(tab[g][h] != tab[h][g] for h in sub):
+                continue
+            ext, power = set(sub), g
+            while power not in sub:
+                ext.update(tab[h][power] for h in sub)
+                power = tab[power][g]
+            ext = frozenset(ext)
+            if ext not in found:
+                found.add(ext)
+                frontier.append(ext)
+    return sorted(tuple(sorted(s)) for s in found)
+
+
+def nonassociative_triples(table) -> list:
+    """Every (a, b, c) with (a b) c != a (b c)."""
+    n = len(table)
+    return [
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if table[table[a][b]][c] != table[a][table[b][c]]
+    ]
+
+
+def is_associative_by_triples(table) -> bool:
+    return not nonassociative_triples(table)
+
+
 @pytest.fixture(scope="session")
 def d8():
     """Dihedral group of order 8 on 4 points: rho = 4-cycle, sigma = (0 2)."""

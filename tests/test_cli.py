@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burnside import cli
+from conftest import compose_permutations, permutation_closure, table_by_composition
 
 GOLDEN = Path(__file__).parent / "golden"
 Z3 = '{"invariant_factors":[3]}'
@@ -163,6 +165,28 @@ class TestExitCodes:
         assert proc.stderr.startswith("size error: ")
         assert proc.stderr.count("\n") == 1
 
+    def test_permutation_group_order_bound(self):
+        # S8 (order 40,320) is over MAX_GROUP_ORDER: exit 3 during the
+        # closure, before a row of its table is built
+        symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'
+        group = json.dumps(
+            {
+                "type": "permutation",
+                "degree": 8,
+                "generators": [[1, 0, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 6, 7, 0]],
+            }
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "canon", "--group", group, "--symbol", symbol],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size error: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_abelian_subgroup_bound(self):
         # (Z/2)^7 has 29,212 abelian subgroups, over MAX_ABELIAN_SUBGROUPS
         symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'
@@ -302,6 +326,27 @@ class TestOtherCommands:
         out = json.loads(proc.stdout)
         assert out["subgroup"] == [0, 2, 3, 7]
         assert out["beta"] == sorted(out["beta"])
+
+    def test_canon_on_s6_table(self, capsys):
+        # the table path checks associativity by Light's test, not by all
+        # 720^3 triples
+        elems = permutation_closure(6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]])
+        table = table_by_composition(elems, compose_permutations)
+        group = json.dumps({"type": "table", "cayley": table})
+        # element 2 is the transposition (0 1)
+        symbol = json.dumps(
+            {
+                "subgroup": [0, 2],
+                "field": {"atom": {"name": "k", "trdeg": 0}},
+                "beta": [[1]],
+                "n": 1,
+            }
+        )
+        start = time.perf_counter()
+        assert cli.run(["canon", "--group", group, "--symbol", symbol]) == 0
+        assert time.perf_counter() - start < 5
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["subgroup"]) == 2
 
     def test_expand(self):
         group = '{"type":"abelian","invariant_factors":[3]}'

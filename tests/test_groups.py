@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from burnside import (
@@ -12,10 +15,32 @@ from burnside import (
     transport_characters,
 )
 from burnside.groups import MAX_GROUP_ORDER
-from conftest import conjugate_by_scan, least_conjugator_by_scan, normalizer_by_scan
+from conftest import (
+    abelian_subgroups_by_scan,
+    compose_permutations,
+    conjugate_by_scan,
+    is_associative_by_triples,
+    least_conjugator_by_scan,
+    nonassociative_triples,
+    normalizer_by_scan,
+    permutation_closure,
+    table_by_composition,
+)
 
 D8_GENERATORS = [[1, 2, 3, 0], [2, 1, 0, 3]]
 ABELIAN_FACTORS = {"z2^4": (2, 2, 2, 2), "z60": (60,), "z2xz4": (2, 4)}
+PERMUTATION_GROUPS = {
+    "d8": (4, D8_GENERATORS),
+    "s4": (4, [[1, 2, 3, 0], [1, 0, 2, 3]]),
+    "a5": (5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]]),
+    "s5": (5, [[1, 2, 3, 4, 0], [1, 0, 2, 3, 4]]),
+    "d12": (12, [[(i + 1) % 12 for i in range(12)], [-i % 12 for i in range(12)]]),
+    "s6": (6, [[1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5]]),
+    # a repeated generator and the identity among the generators
+    "s4_redundant": (4, [[1, 0, 2, 3], [0, 1, 2, 3], [1, 2, 3, 0], [1, 0, 2, 3]]),
+}
+# a Latin square with identity 0 and 36 non-associative triples
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
 def _group(request, name):
@@ -98,6 +123,104 @@ class TestConstruction:
         ):
             with pytest.raises(InputError):
                 FiniteGroup.from_json(bad)
+
+
+def _oracle_table(name) -> tuple:
+    if name in ABELIAN_FACTORS:
+        facs = ABELIAN_FACTORS[name]
+        elems = list(itertools.product(*(range(q) for q in facs)))
+        add = lambda x, y: tuple((a + b) % q for a, b, q in zip(x, y, facs))
+        return table_by_composition(elems, add)
+    degree, gens = PERMUTATION_GROUPS[name]
+    return table_by_composition(permutation_closure(degree, gens), compose_permutations)
+
+
+def _built(name) -> FiniteGroup:
+    if name in ABELIAN_FACTORS:
+        return FiniteGroup.from_invariant_factors(ABELIAN_FACTORS[name])
+    return FiniteGroup.from_permutations(*PERMUTATION_GROUPS[name])
+
+
+ORACLE_GROUPS = [*PERMUTATION_GROUPS, *ABELIAN_FACTORS]
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_table_and_inverse(self, name):
+        want = _oracle_table(name)
+        for G in (_built(name), FiniteGroup([list(row) for row in want])):
+            assert G.cayley == want
+            assert G.identity == 0
+            n = G.order
+            assert G.inverse == tuple(
+                next(h for h in range(n) if want[g][h] == 0 == want[h][g])
+                for g in range(n)
+            )
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_abelian_subgroups(self, name):
+        G = _built(name)
+        assert G._abelian_subgroups == abelian_subgroups_by_scan(G)
+
+    def test_s5_table_subgroups_without_commute(self, monkeypatch):
+        def refuse(self, a, b):
+            raise AssertionError("commute called")
+
+        monkeypatch.setattr(FiniteGroup, "commute", refuse)
+        G = FiniteGroup([list(row) for row in _oracle_table("s5")])
+        assert len(G._abelian_subgroups) == 87
+
+
+def _random_loop(rng, n) -> list[list[int]]:
+    """A random Latin square whose first row and column are 0..n-1, filled
+    cell by cell in row-major order with backtracking."""
+    sq = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(t):
+        if t == len(cells):
+            return True
+        i, j = cells[t]
+        used = set(sq[i][:j]) | {sq[r][j] for r in range(i)}
+        choices = [v for v in range(n) if v not in used]
+        rng.shuffle(choices)
+        for v in choices:
+            sq[i][j] = v
+            if fill(t + 1):
+                return True
+        sq[i][j] = None
+        return False
+
+    assert fill(0)
+    return sq
+
+
+class TestAssociativity:
+    def test_loop_is_rejected(self):
+        assert len(nonassociative_triples(LOOP5)) == 36
+        with pytest.raises(InputError, match="Cayley table is not associative"):
+            FiniteGroup(LOOP5)
+
+    def test_random_loops_match_triples(self):
+        rng = random.Random(20240601)
+        outcomes = set()
+        for _ in range(500):
+            sq = _random_loop(rng, rng.randint(3, 7))
+            associative = is_associative_by_triples(sq)
+            outcomes.add(associative)
+            if associative:
+                assert FiniteGroup(sq).order == len(sq)
+            else:
+                with pytest.raises(InputError, match="not associative"):
+                    FiniteGroup(sq)
+        assert outcomes == {True, False}
+
+    # S6 is left out: its 720^3 triples take minutes
+    @pytest.mark.parametrize("name", [g for g in ORACLE_GROUPS if g != "s6"])
+    def test_group_tables_are_associative(self, name):
+        table = _oracle_table(name)
+        assert is_associative_by_triples(table)
+        assert FiniteGroup([list(row) for row in table]).order == len(table)
 
 
 class TestSubgroups:
