@@ -2,8 +2,9 @@
 
 Generators are size-``n`` multisets of characters generating the group
 (zero entries allowed); the presentation uses the two-position relation
-rows, which suffice.  Classes get a unique normal form from the Smith
-decomposition of the relation matrix, so equality is a tuple comparison.
+rows, kept sparse, which suffice.  The structure reads Smith divisors alone;
+classes get a unique normal form from the n x r map of the columns of V
+whose divisor is not 1, so equality is a tuple comparison.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from .abelian import AbelianGroup, generates
 from .errors import DomainError, InputError, ProvenanceError, SizeError
 from .relations import relation_rows
 from .symbols import Atom, ConstrA, Symbol
-from .zlinalg import IntMatrix, smith_normal_form
+from .zlinalg import IntMatrix, SmithForm, SparseMatrix, smith_normal_form
 
-# Dense cells of a relation matrix and its column transform; the list
-# slots alone of 10**7 cells take 80 MB
+# Relation cells as if dense, plus count**2, though nothing that size is built:
+# kept so that the same inputs are refused (about 3,162 generators at most)
 MAX_RELATION_CELLS = 10**7
 
 
@@ -29,9 +30,8 @@ def enumerate_generators(A: AbelianGroup, n: int):
 
     Zero entries are allowed; the output order is deterministic (sorted
     tuples of character vectors, lexicographic).  Before any is built, the
-    relation cells implied by the candidate count are bounded: a row per
-    candidate and pair of positions, a column per candidate, and the square
-    column transform.
+    cells implied by the candidate count are bounded: a row per candidate
+    and pair of positions, a column per candidate, plus a square block.
     """
     if n < 1:
         raise InputError(f"dimension n = {n} must be positive")
@@ -42,16 +42,13 @@ def enumerate_generators(A: AbelianGroup, n: int):
             f"{count} candidate multisets imply about {cells} relation-matrix "
             f"cells, over the bound {MAX_RELATION_CELLS}"
         )
-    gens = []
-    for combo in itertools.combinations_with_replacement(A.elements(), n):
-        if generates(A, combo):
-            gens.append(combo)
-    return gens
+    combos = itertools.combinations_with_replacement(A.elements(), n)
+    return [combo for combo in combos if generates(A, combo)]
 
 
 @dataclass(eq=False)
 class BnGPresentation:
-    """Generators and relation matrix of the tuple group, with cached SNF."""
+    """Generators and sparse relation rows of the tuple group, cached."""
 
     A: AbelianGroup
     n: int
@@ -65,21 +62,27 @@ class BnGPresentation:
         return {g: k for k, g in enumerate(self.generators)}
 
     @cached_property
-    def relation_matrix(self) -> IntMatrix:
+    def relation_matrix(self) -> SparseMatrix:
         if self.n <= 1:  # n < 1 fails in enumerate_generators, before any row
-            return IntMatrix.from_rows([], len(self.generators))
+            return SparseMatrix((), len(self.generators))
         return relation_rows(self, 2)
 
     @cached_property
-    def snf_data(self) -> tuple[list[int], IntMatrix]:
-        """Smith divisors, one per generator, and the column transform V."""
+    def smith_form(self) -> SmithForm:
+        """Smith divisors, one per generator, and the recorded elimination."""
         return smith_normal_form(self.relation_matrix)
 
+    @cached_property
+    def snf_data(self) -> tuple[list[int], IntMatrix]:
+        """The divisors other than 1, and the n x r normal-form map: the
+        columns of V for those divisors, one row per generator."""
+        divisors = self.smith_form.divisors
+        units = divisors.count(1)  # the ones lead the divisibility chain
+        return divisors[units:], self.smith_form.transform(units)
+
     def structure(self) -> tuple[int, list[int]]:
-        divisors, _ = self.snf_data
-        free_rank = sum(1 for d in divisors if d == 0)
-        torsion = [d for d in divisors if d > 1]
-        return free_rank, torsion
+        divisors = self.smith_form.divisors
+        return divisors.count(0), [d for d in divisors if d > 1]
 
     def coerce_generator(self, multiset) -> tuple:
         key = tuple(sorted(self.A.reduce(c) for c in multiset))
@@ -115,20 +118,15 @@ def reduce_class(P: BnGPresentation, x) -> BnGClass:
     """
     items = x.items() if isinstance(x, dict) else x
     terms = [(P.coerce_generator(gen), int(coeff)) for gen, coeff in items]
-    divisors, V = P.snf_data
-    # the image under V: the sum of the V rows of the generators present
+    divisors, nf_map = P.snf_data
+    # the image under the map: the sum of the rows of the generators present
     image = [0] * len(divisors)
     for gen, coeff in terms:
-        row = V.entries[P.generator_index[gen]]
+        row = nf_map.entries[P.generator_index[gen]]
         image = [y + coeff * v for y, v in zip(image, row)]
-    free = []
-    torsion = []
-    for y, d in zip(image, divisors):
-        if d == 0:
-            free.append(y)
-        elif d > 1:
-            torsion.append(y % d)
-    return BnGClass(free=tuple(free), torsion=tuple(torsion))
+    free = tuple(y for y, d in zip(image, divisors) if d == 0)
+    torsion = tuple(y % d for y, d in zip(image, divisors) if d)
+    return BnGClass(free=free, torsion=torsion)
 
 
 def equal_classes(P: BnGPresentation, x, y) -> bool:

@@ -42,10 +42,6 @@ def _read_value(value: str) -> str:
     return value
 
 
-def _json_value(value: str, what: str):
-    return load_json(_read_value(value), f"JSON for {what}")
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n"
 
@@ -54,7 +50,8 @@ def _abelian_group(value: str) -> AbelianGroup:
     return AbelianGroup.from_json(_read_value(value))
 
 
-def _char_tuple(A: AbelianGroup, data, what: str):
+def _char_tuple(A: AbelianGroup, value: str, what: str):
+    data = load_json(_read_value(value), f"JSON for {what}")
     if not is_int_rows(data):
         raise InputError(f"{what} must be an array of integer character vectors")
     return [A.reduce(c) for c in data]
@@ -78,17 +75,16 @@ def emit_table(results) -> str:
 
 def _cmd_bng_structure(args) -> str:
     A = _abelian_group(args.group)
-    structure = BnGPresentation(A, args.n).structure()
+    free_rank, torsion = structure = BnGPresentation(A, args.n).structure()
     if args.format == "csv":
         return emit_table([(A, args.n, structure)])
-    free_rank, torsion = structure
     return _dump({"free_rank": free_rank, "torsion": torsion})
 
 
 def _cmd_bng_reduce(args) -> str:
     A = _abelian_group(args.group)
     P = BnGPresentation(A, args.n)
-    chars = _char_tuple(A, _json_value(args.cls, "--class"), "--class")
+    chars = _char_tuple(A, args.cls, "--class")
     cls = reduce_class(P, {tuple(chars): 1})
     return _dump({"normal_form": cls.to_json_obj()})
 
@@ -96,8 +92,8 @@ def _cmd_bng_reduce(args) -> str:
 def _cmd_bng_equal(args) -> str:
     A = _abelian_group(args.group)
     P = BnGPresentation(A, args.n)
-    x = _char_tuple(A, _json_value(args.x, "--x"), "--x")
-    y = _char_tuple(A, _json_value(args.y, "--y"), "--y")
+    x = _char_tuple(A, args.x, "--x")
+    y = _char_tuple(A, args.y, "--y")
     return _dump({"equal": equal_classes(P, {tuple(x): 1}, {tuple(y): 1})})
 
 
@@ -118,12 +114,8 @@ def _cmd_canon(args) -> str:
 
 
 def _cmd_verify_prop71(args) -> str:
-    A = _abelian_group(args.group)
-    if args.n == 1:
-        equal = True
-    else:
-        P = BnGPresentation(A, args.n)
-        equal = row_space_equal(P.relation_matrix, relation_rows(P, args.n))
+    P = BnGPresentation(_abelian_group(args.group), args.n)
+    equal = args.n == 1 or row_space_equal(P.relation_matrix, relation_rows(P, args.n))
     return _dump({"row_spaces_equal": equal})
 
 
@@ -164,8 +156,8 @@ def _cmd_example_d8(args) -> str:
 
 def _cmd_wedge(args) -> str:
     A = _abelian_group(args.group)
-    x = _char_tuple(A, _json_value(args.x, "--x"), "--x")
-    y = _char_tuple(A, _json_value(args.y, "--y"), "--y")
+    x = _char_tuple(A, args.x, "--x")
+    y = _char_tuple(A, args.y, "--y")
     return _dump({"equivalent": wedge_equivalent(A, x, y)})
 
 
@@ -182,78 +174,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact symbol calculus for equivariant Burnside groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **flags):
+    required, integer = dict(required=True), dict(type=int, required=True)
+    group_n = {"--group": required, "--n": integer}
+    xy = {"--x": required, "--y": required}
+    symbol = {"--group": required, "--symbol": required}
+    for name, func, flags in (
+        ("bng-structure", _cmd_bng_structure,
+         {**group_n, "--format": dict(choices=("json", "csv"), default="json")}),
+        ("bng-reduce", _cmd_bng_reduce,
+         {**group_n, "--class": dict(required=True, dest="cls")}),
+        ("bng-equal", _cmd_bng_equal, {**group_n, **xy}),
+        ("expand", _cmd_expand, {**symbol, "--i": integer, "--j": integer}),
+        ("canon", _cmd_canon, symbol),
+        ("verify-prop71", _cmd_verify_prop71, group_n),
+        ("example-d8", _cmd_example_d8, {}),
+        ("wedge", _cmd_wedge, {"--group": required, **xy}),
+    ):
         p = sub.add_parser(name)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    add(
-        "bng-structure",
-        _cmd_bng_structure,
-        **{
-            "--group": dict(required=True),
-            "--n": dict(type=int, required=True),
-            "--format": dict(choices=("json", "csv"), default="json"),
-        },
-    )
-    add(
-        "bng-reduce",
-        _cmd_bng_reduce,
-        **{
-            "--group": dict(required=True),
-            "--n": dict(type=int, required=True),
-            "--class": dict(required=True, dest="cls"),
-        },
-    )
-    add(
-        "bng-equal",
-        _cmd_bng_equal,
-        **{
-            "--group": dict(required=True),
-            "--n": dict(type=int, required=True),
-            "--x": dict(required=True),
-            "--y": dict(required=True),
-        },
-    )
-    add(
-        "expand",
-        _cmd_expand,
-        **{
-            "--group": dict(required=True),
-            "--symbol": dict(required=True),
-            "--i": dict(type=int, required=True),
-            "--j": dict(type=int, required=True),
-        },
-    )
-    add(
-        "canon",
-        _cmd_canon,
-        **{
-            "--group": dict(required=True),
-            "--symbol": dict(required=True),
-        },
-    )
-    add(
-        "verify-prop71",
-        _cmd_verify_prop71,
-        **{
-            "--group": dict(required=True),
-            "--n": dict(type=int, required=True),
-        },
-    )
-    add("example-d8", _cmd_example_d8)
-    add(
-        "wedge",
-        _cmd_wedge,
-        **{
-            "--group": dict(required=True),
-            "--x": dict(required=True),
-            "--y": dict(required=True),
-        },
-    )
     return parser
 
 

@@ -128,9 +128,9 @@ class FiniteGroup:
             self.commute(a, b) for a, b in itertools.combinations(elems, 2)
         )
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
-        return self.is_abelian_subset(range(self.order))
+        return all(map(eq, self.cayley, zip(*self.cayley)))  # table = transpose
 
     # constructors --------------------------------------------------------
 
@@ -264,8 +264,11 @@ class FiniteGroup:
         One conjugation pass per class gives the transporter T: image ->
         every g with g sub g^-1 = image.  For g0 in T(img), the conjugators
         from img to rep are T(rep) g0^-1 and the normalizer of img is
-        T(img) g0^-1.
+        T(img) g0^-1.  In an abelian group T is all of G for every subgroup.
         """
+        if self.is_abelian:
+            whole = tuple(range(self.order))
+            return {sub: (sub, 0, whole) for sub in self._abelian_subgroups}
         info = {}
         for sub in self._abelian_subgroups:
             if sub in info:
@@ -295,7 +298,7 @@ class FiniteGroup:
         if key not in refs:
             if self.closure(key) != frozenset(key):
                 raise InputError("element set is not closed under the group law")
-            if not self.is_abelian_subset(key):
+            if not (self.is_abelian or self.is_abelian_subset(key)):
                 raise InvariantError("subgroup is not abelian")
             refs[key] = SubgroupRef(group=self, elements=key)
         return refs[key]

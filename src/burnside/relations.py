@@ -19,7 +19,7 @@ from .symbols import (
     construction_a,
     restrict_character,
 )
-from .zlinalg import IntMatrix
+from .zlinalg import SparseMatrix
 
 VANISHED_NONE = "none"
 VANISHED_B1 = "B1"
@@ -203,13 +203,21 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     return SymbolSum(out, _canonical=True)
 
 
-def relation_rows(P, j_max: int) -> IntMatrix:
-    """Relation matrix over the generators of a tuple-group presentation.
+def _dense_order(items, n: int) -> tuple:
+    """Sort key of a sparse row on ``n`` columns that orders rows as their
+    dense tuples: at the first differing item, an entry at an earlier column
+    is larger when positive; (0, 0) stands for the zeros after the last."""
+    return (*((n - c, v) if v > 0 else (c - n, v) for c, v in items), (0, 0))
+
+
+def relation_rows(P, j_max: int) -> SparseMatrix:
+    """Sparse relation matrix over the generators of a tuple-group presentation.
 
     ``P`` supplies the group ``A``, the dimension ``n``, the generators and
     their index.  One deduplicated row per generator, ``j <= j_max`` and
     choice of ``j`` positions: the generator minus the sum of its
     transformed tuples, with coordinates indexed by ``P.generator_index``.
+    Rows come in the order their dense tuples sort in.
     """
     A, n = P.A, P.n
     if not (2 <= j_max <= n):
@@ -238,6 +246,5 @@ def relation_rows(P, j_max: int) -> IntMatrix:
                 items = tuple(sorted((c, v) for c, v in row.items() if v))
                 if items:
                     rows.add(items)
-    cols = range(len(gens))
-    dense = (tuple(map(dict(r).get, cols, itertools.repeat(0))) for r in rows)
-    return IntMatrix(tuple(sorted(dense)), len(gens))
+    N = len(gens)
+    return SparseMatrix(tuple(sorted(rows, key=lambda r: _dense_order(r, N))), N)

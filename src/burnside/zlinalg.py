@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers.
 
-Smith divisors with a unimodular column transform, computed with plain
-Python ints so intermediate coefficient growth is harmless.  Row lattices
-are compared through their Smith divisors alone.
+Smith divisors of dense or sparse matrices in plain Python ints, so
+coefficient growth is harmless.  Unit pivots are recorded as substitutions,
+from which columns of the column transform are built on request.  Row
+lattices are compared through their Smith divisors alone.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError
@@ -24,13 +24,10 @@ class IntMatrix:
     @staticmethod
     def from_rows(rows, num_cols=None) -> "IntMatrix":
         data = tuple(tuple(int(x) for x in row) for row in rows)
-        if data:
-            if num_cols is None:
-                num_cols = len(data[0])
-            if any(len(row) != num_cols for row in data):
-                raise InputError("ragged rows in matrix input")
-        elif num_cols is None:
-            num_cols = 0
+        if num_cols is None:
+            num_cols = len(data[0]) if data else 0
+        if any(len(row) != num_cols for row in data):
+            raise InputError("ragged rows in matrix input")
         return IntMatrix(data, num_cols)
 
     @property
@@ -39,6 +36,26 @@ class IntMatrix:
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
+
+
+@dataclass(frozen=True)
+class SparseMatrix:
+    """An immutable integer matrix as sparse rows: each row a tuple of
+    ``(column, value)`` pairs, columns increasing, values nonzero."""
+
+    entries: tuple[tuple[tuple[int, int], ...], ...]
+    num_cols: int
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.entries)
+
+
+def _sparse(M) -> SparseMatrix:
+    if isinstance(M, SparseMatrix):
+        return M
+    rows = (tuple((j, x) for j, x in enumerate(row) if x) for row in M.entries)
+    return SparseMatrix(tuple(rows), M.num_cols)
 
 
 def det(M: IntMatrix) -> int:
@@ -89,7 +106,7 @@ def _add_col(a, dst, src, q):
 
 def _dense_smith(a, vcols) -> list[int]:
     """Dense Smith pivots on the rows ``a``, each column operation mirrored
-    on the columns ``vcols`` of V; returns the nonzero divisors."""
+    on the transform columns ``vcols``; returns the nonzero divisors."""
     m, n = len(a), len(vcols)
     t = 0
     while True:
@@ -147,25 +164,65 @@ def _has_unit(row: dict) -> bool:
     return 1 in row.values() or -1 in row.values()
 
 
-def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix]:
-    """Return ``(divisors, V)``: the Smith divisors of ``M``, one per column
-    (``d_1 | d_2 | ...`` positive, then zeros for the free part), and a
-    unimodular column transform ``V``.  The rows of the product ``M V``
-    span exactly the multiples of ``divisors[k]`` in each column ``k``.
-    The row transform is not built.
+@dataclass(frozen=True, eq=False)
+class SmithForm:
+    """Smith divisors with the elimination that produced them: per unit
+    pivot, in order, its column and the other entries ``(j, x)`` of its
+    sign-normalised row; per residual column, in position order, its row
+    of the residual block's transform.  Reads as the pair ``(divisors, V)``,
+    with V built from the record on each access."""
+
+    divisors: list[int]
+    pivots: tuple
+    residual: tuple
+
+    def transform(self, first: int = 0) -> IntMatrix:
+        """Columns ``first`` onward of V, by back-substitution over the
+        pivots in reverse: row c of a pivot is its unit vector minus the sum
+        of x times row j, and each such j is a later pivot or residual."""
+        n, t = len(self.divisors), len(self.pivots)
+        rows = [None] * n
+        for j, w in self.residual:  # zero on the pivot columns
+            rows[j] = [0] * (t - first) + list(w[max(first - t, 0):])
+        for s, (c, subst) in reversed(list(enumerate(self.pivots))):
+            row = [int(k == s - first) for k in range(n - first)]
+            for j, x in subst:
+                row = [y - x * v for y, v in zip(row, rows[j])]
+            rows[c] = row
+        return IntMatrix(tuple(map(tuple, rows)), n - first)
+
+    def __iter__(self):
+        yield self.divisors
+        yield self.transform()
+
+    def __getitem__(self, k):
+        return (lambda: self.divisors, self.transform)[k]()  # V only when asked
+
+    def __eq__(self, other):
+        return tuple(self) == other
+
+
+def smith_normal_form(M) -> SmithForm:
+    """Smith form of a dense or sparse matrix ``M``: the divisors, one per
+    column (``d_1 | d_2 | ...`` positive, then zeros for the free part),
+    and a unimodular column transform ``V``, built only on request, such
+    that the rows of ``M V`` span the multiples of ``divisors[k]`` in each
+    column ``k``.  No row transform is built.
 
     Unit pivots go first, on sparse rows, in the dense loop's order (the
     first row holding a +-1, at its first +-1) and with its swaps; they need
-    no division and no fold-in, so the result is the dense one bit for bit.
-    The dense loop runs only on the block left when no +-1 remains.
+    no division and no fold-in, so V is the dense loop's bit for bit.  Each
+    is recorded as a substitution, not applied to V.  The dense loop runs
+    only on the block left when no +-1 remains, with a transform over that
+    block's columns alone.
     """
-    m, n = M.num_rows, M.num_cols
-    rows = [{j: x for j, x in enumerate(row) if x} for row in M.entries]
+    rows = [dict(row) for row in _sparse(M).entries]
+    m, n = len(rows), M.num_cols
     in_col = [set() for _ in range(n)]  # column -> the rows with an entry there
     for i, row in enumerate(rows):
         for j in row:
             in_col[j].add(i)
-    vcols = [{j: 1} for j in range(n)]  # V's columns, keyed like a's columns
+    pivots = []
     row_at, row_pos = list(range(m)), list(range(m))
     col_at, col_pos = list(range(n)), list(range(n))
     # (position, row) for rows holding a unit; stale entries are skipped
@@ -196,26 +253,20 @@ def smith_normal_form(M: IntMatrix) -> tuple[list[int], IntMatrix]:
                     in_col[j].discard(r)
             if _has_unit(row):
                 heapq.heappush(heap, (row_pos[r], r))
-        for j, x in prow.items():
+        for j in prow:
             in_col[j].discard(p)
-            if j != c:
-                vj = vcols[j]
-                for i, v in vcols[c].items():
-                    vj[i] = vj.get(i, 0) - x * v
+        pivots.append((c, tuple((j, x) for j, x in prow.items() if j != c)))
         t += 1
-    # the block from position t on; V's columns dense, in position order
+    # the block from position t on, and the columns of its transform
     a = [[rows[r].get(j, 0) for j in col_at[t:]] for r in row_at[t:]]
-    for j in col_at:  # in place, so that each dict is freed as it goes
-        vcols[j] = list(map(vcols[j].get, range(n), itertools.repeat(0)))
-    cols = [vcols[j] for j in col_at]
-    tail = cols[t:]
-    divisors = [1] * t + _dense_smith(a, tail)
+    w = [[int(i == j) for i in range(n - t)] for j in range(n - t)]
+    divisors = [1] * t + _dense_smith(a, w)
     divisors += [0] * (n - len(divisors))
-    return divisors, IntMatrix(tuple(zip(*cols[:t], *tail)), n)
+    return SmithForm(divisors, tuple(pivots), tuple(zip(col_at[t:], zip(*w))))
 
 
-def row_space_equal(M1: IntMatrix, M2: IntMatrix) -> bool:
-    """Whether the two matrices span the same sublattice of Z^cols.
+def row_space_equal(M1, M2) -> bool:
+    """Whether two dense or sparse matrices span the same sublattice of Z^cols.
 
     The lattices L1 and L2 are equal exactly when M1, M2 and their stacked
     rows have the same Smith divisors: Z^cols / L1 maps onto
@@ -227,11 +278,12 @@ def row_space_equal(M1: IntMatrix, M2: IntMatrix) -> bool:
     """
     if M1.num_cols != M2.num_cols:
         raise InputError("row_space_equal requires equal column counts")
-    divisors, _ = smith_normal_form(M1)
-    if smith_normal_form(M2)[0] != divisors:
+    M1, M2 = _sparse(M1), _sparse(M2)
+    divisors = smith_normal_form(M1).divisors
+    if smith_normal_form(M2).divisors != divisors:
         return False
     rows1, rows2 = set(M1.entries), set(M2.entries)
     if rows1 <= rows2 or rows2 <= rows1:
         return True
-    stacked = IntMatrix(M1.entries + M2.entries, M1.num_cols)
-    return smith_normal_form(stacked)[0] == divisors
+    stacked = SparseMatrix(M1.entries + M2.entries, M1.num_cols)
+    return smith_normal_form(stacked).divisors == divisors

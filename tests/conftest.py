@@ -25,10 +25,21 @@ def laplace_det(rows):
     return total
 
 
-def minor_gcd(M: IntMatrix, k: int) -> int:
+def dense_rows(M) -> list[list[int]]:
+    """Full-width rows of a dense ``IntMatrix`` or a sparse matrix."""
+    if isinstance(M, IntMatrix):
+        return M.to_lists()
+    rows = [[0] * M.num_cols for _ in M.entries]
+    for row, items in zip(rows, M.entries):
+        for j, x in items:
+            row[j] = x
+    return rows
+
+
+def minor_gcd(M, k: int) -> int:
     """gcd of all k x k minors (0 if every minor vanishes)."""
     g = 0
-    rows = M.to_lists()
+    rows = dense_rows(M)
     for ri in itertools.combinations(range(M.num_rows), k):
         for ci in itertools.combinations(range(M.num_cols), k):
             sub = [[rows[r][c] for c in ci] for r in ri]
@@ -38,7 +49,7 @@ def minor_gcd(M: IntMatrix, k: int) -> int:
     return g
 
 
-def dense_smith_reference(M: IntMatrix) -> tuple[list[int], IntMatrix]:
+def dense_smith_reference(M) -> tuple[list[int], IntMatrix]:
     """``(divisors, V)`` from the dense pivot loop alone, on full-width rows.
 
     Every step scans for the first pivot of least absolute value, clears
@@ -46,7 +57,7 @@ def dense_smith_reference(M: IntMatrix) -> tuple[list[int], IntMatrix]:
     takes every column operation.  The library must match it bit for bit.
     """
     m, n = M.num_rows, M.num_cols
-    a = M.to_lists()
+    a = dense_rows(M)
     vcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
     def add_row(rows, dst, src, q):
@@ -243,6 +254,30 @@ def s4():
 def a5():
     """Alternating group on 5 points: a 3-cycle and a 5-cycle."""
     return FiniteGroup.from_permutations(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+
+
+def class_info_by_conjugation(G) -> dict:
+    """subgroup -> (class representative, least conjugator, normalizer) by
+    the general pass: conjugate each class's first subgroup by every g,
+    whether or not G is abelian."""
+    tab, inv = G.cayley, G.inverse
+    info = {}
+    for sub in G._abelian_subgroups:
+        if sub in info:
+            continue
+        transporter = {}
+        for g in range(G.order):
+            img = tuple(sorted(tab[tab[g][h]][inv[g]] for h in sub))
+            transporter.setdefault(img, []).append(g)
+        rep = min(transporter)
+        for img, into in transporter.items():
+            g0inv = inv[into[0]]
+            info[img] = (
+                rep,
+                min(tab[g][g0inv] for g in transporter[rep]),
+                tuple(sorted(tab[g][g0inv] for g in into)),
+            )
+    return info
 
 
 def conjugate_by_scan(G, g, elems) -> tuple:

@@ -23,7 +23,7 @@ from burnside import (
     reduce_class,
     relation_rows,
 )
-from conftest import full_group_symbol
+from conftest import dense_rows, full_group_symbol
 
 
 def totient(m: int) -> int:
@@ -151,7 +151,7 @@ class TestStructure:
 
         P = BnGPresentation(AbelianGroup(factors), n)
         M = P.relation_matrix
-        S = smith_normal_form(Matrix(M.to_lists()))
+        S = smith_normal_form(Matrix(dense_rows(M)))
         diagonal = [abs(S[k, k]) for k in range(min(S.shape))]
         nonzero = [d for d in diagonal if d]
         want = (M.num_cols - len(nonzero), sorted(d for d in nonzero if d > 1))
@@ -162,7 +162,7 @@ class TestReduce:
     def test_relation_rows_reduce_to_zero(self):
         for factors in ((3,), (4,), (2, 2)):
             P = BnGPresentation(AbelianGroup(factors), 2)
-            for row in P.relation_matrix.to_lists():
+            for row in dense_rows(P.relation_matrix):
                 x = {P.generators[i]: c for i, c in enumerate(row) if c}
                 assert reduce_class(P, x).is_zero()
 
@@ -171,7 +171,7 @@ class TestReduce:
         # the first generator split over two pairs
         for factors, n in (((4,), 3), ((2, 2), 3), ((3,), 4)):
             P = BnGPresentation(AbelianGroup(factors), n)
-            for row in relation_rows(P, n).to_lists():
+            for row in dense_rows(relation_rows(P, n)):
                 terms = [(P.generators[i], c) for i, c in enumerate(row) if c]
                 g, c = terms[0]
                 pairs = [(g, c + 1)] + terms[1:] + [(g, -1)]

@@ -17,6 +17,7 @@ from burnside import (
 from burnside.groups import MAX_GROUP_ORDER
 from conftest import (
     abelian_subgroups_by_scan,
+    class_info_by_conjugation,
     compose_permutations,
     conjugate_by_scan,
     is_associative_by_triples,
@@ -271,6 +272,42 @@ class TestSubgroups:
             assert conjugator == least_conjugator_by_scan(G, sub, rep)
             assert G.normalizer(sub) == normalizer_by_scan(G, sub)
             assert G.subgroup(sub).normalizer == normalizer_by_scan(G, sub)
+
+    @pytest.mark.parametrize(
+        "factors", [(12,), (2, 6), (2, 2, 4), (1000,)], ids=str
+    )
+    def test_abelian_class_data_matches_conjugation_pass(self, monkeypatch, factors):
+        # every abelian subgroup is its own class, normalized by all of G:
+        # the shortcut conjugates nothing and agrees with the general pass
+        G = FiniteGroup.from_invariant_factors(factors)
+        monkeypatch.setattr(FiniteGroup, "conj", None)
+        assert G._class_info == class_info_by_conjugation(G)
+
+    def test_abelian_class_data_on_relabelled_table(self):
+        # Z/6 with its elements relabelled, so that the identity is not 0
+        perm = [3, 5, 0, 1, 4, 2]
+        inv = [perm.index(x) for x in range(6)]
+        table = [[perm[(inv[a] + inv[b]) % 6] for b in range(6)] for a in range(6)]
+        G = FiniteGroup(table)
+        assert G.identity == 3 and G.is_abelian
+        assert G._class_info == class_info_by_conjugation(G)
+
+    @pytest.mark.parametrize("name", ["d8", "s4", "z2xz4"])
+    def test_class_data_matches_conjugation_pass(self, request, name):
+        G = _group(request, name)
+        assert G._class_info == class_info_by_conjugation(G)
+
+    def test_abelian_group_subgroups_skip_pairwise_test(self, monkeypatch):
+        G = FiniteGroup.from_invariant_factors((2, 30))
+        monkeypatch.setattr(FiniteGroup, "commute", None)
+        assert G.subgroup(range(G.order)).order == 60
+        assert G.subgroup(G.closure([7])).order == G.element_order(7)
+
+    def test_is_abelian_matches_pairwise_test(self, request):
+        for name in ("d8", "s4", "a5", "z2^4", "z60"):
+            G = _group(request, name)
+            assert G.is_abelian == G.is_abelian_subset(range(G.order))
+            assert G.is_abelian is G.__dict__["is_abelian"]  # cached
 
     def test_class_data_conjugates_once_per_class(self, monkeypatch):
         # one pass over G per class: |G| conjugations per element of the

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from burnside import (
@@ -7,6 +9,7 @@ from burnside import (
     ConstrA,
     FiniteGroup,
     InputError,
+    IntMatrix,
     Symbol,
     SymbolSum,
     apply_b1,
@@ -19,9 +22,12 @@ from burnside.relations import (
     VANISHED_COSET,
     VANISHED_EQUAL_WEIGHTS,
     VANISHED_NONE,
+    _dense_order,
 )
+from burnside.zlinalg import SparseMatrix
 from conftest import (
     dense_relation_rows,
+    dense_rows,
     full_group_symbol,
     generating_multisets,
     table_presentations,
@@ -161,12 +167,12 @@ class TestRelationRows:
     def test_z2_rows_frozen(self):
         # generators of Z/2 at n = 2: {0, 1} then {1, 1}
         M = relation_rows(BnGPresentation(AbelianGroup((2,)), 2), 2)
-        assert M.to_lists() == [[-1, 1], [0, -1]]
+        assert dense_rows(M) == [[-1, 1], [0, -1]]
 
     def test_z3_rows_frozen(self):
         # generators in order: {0,1}, {0,2}, {1,1}, {1,2}, {2,2}
         M = relation_rows(BnGPresentation(AbelianGroup((3,)), 2), 2)
-        assert M.to_lists() == [
+        assert dense_rows(M) == [
             [-1, 0, 1, 0, 0],
             [0, -1, 0, 0, 1],
             [0, 0, -1, 1, -1],
@@ -175,7 +181,7 @@ class TestRelationRows:
 
     def test_rows_are_sorted_and_deduplicated(self):
         M = relation_rows(BnGPresentation(AbelianGroup((5,)), 3), 2)
-        rows = M.to_lists()
+        rows = dense_rows(M)
         assert rows == sorted(rows)
         assert len(rows) == len({tuple(r) for r in rows})
         assert all(any(r) for r in rows)
@@ -183,7 +189,28 @@ class TestRelationRows:
     def test_matches_dense_oracle_on_table(self):
         # sparse rows, deduplicated and ordered as their dense tuples
         for P, j in table_presentations():
-            assert relation_rows(P, j) == dense_relation_rows(P, j), (P.A, P.n, j)
+            M = relation_rows(P, j)
+            dense = IntMatrix.from_rows(dense_rows(M), M.num_cols)
+            assert dense == dense_relation_rows(P, j), (P.A, P.n, j)
+
+    def test_matches_dense_oracle_b2_z29(self):
+        P = BnGPresentation(AbelianGroup((29,)), 2)
+        M = relation_rows(P, 2)
+        assert (M.num_rows, M.num_cols) == (420, 434)
+        assert dense_rows(M) == dense_relation_rows(P, 2).to_lists()
+
+    def test_sparse_order_is_dense_tuple_order(self):
+        rng = random.Random(20261019)
+        for _ in range(300):
+            n = rng.randint(1, 7)
+            values = (1, -1, 2, -2)
+            rows = {
+                tuple((j, rng.choice(values)) for j in sorted(rng.sample(range(n), k)))
+                for k in (rng.randint(1, n) for _ in range(rng.randint(0, 12)))
+            }
+            by_key = sorted(rows, key=lambda r: _dense_order(r, n))
+            ordered = SparseMatrix(tuple(by_key), n)
+            assert dense_rows(ordered) == sorted(dense_rows(SparseMatrix(tuple(rows), n)))
 
     def test_j_max_validation(self):
         A = AbelianGroup((3,))
@@ -208,7 +235,7 @@ class TestRelationRows:
             expected[gens.index(target)] = expected.get(gens.index(target), 0) - 1
         matching = [
             row
-            for row in M.to_lists()
+            for row in dense_rows(M)
             if {k: v for k, v in enumerate(row) if v} == expected
         ]
         assert len(matching) == 1

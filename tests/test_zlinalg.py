@@ -103,19 +103,33 @@ class TestSmithNormalForm:
             )
 
 
+def _random_matrices():
+    """2,403 seeded matrices of up to 8 x 8, mostly units and zeros."""
+    rng = random.Random(20261018)
+    values = (0, 0, 0, 1, -1, 2, -2, 3, -3, 5)
+    shapes = [(0, 0), (0, 3), (3, 0)]
+    shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(2400)]
+    for m, n in shapes:
+        yield IntMatrix.from_rows(
+            [[rng.choice(values) for _ in range(n)] for _ in range(m)], n
+        )
+
+
+def reference_map(M):
+    """The divisors other than 1 and the matching columns of the dense
+    reference's V."""
+    divisors, V = dense_smith_reference(M)
+    units = divisors.count(1)
+    kept = tuple(row[units:] for row in V.entries)
+    return divisors[units:], IntMatrix(kept, len(divisors) - units)
+
+
 class TestSparseUnitPivots:
     """The sparse unit-pivot phase replays the dense loop: same divisors,
     same V, bit for bit."""
 
     def test_matches_dense_reference_random(self):
-        rng = random.Random(20261018)
-        values = (0, 0, 0, 1, -1, 2, -2, 3, -3, 5)
-        shapes = [(0, 0), (0, 3), (3, 0)]
-        shapes += [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(2400)]
-        for m, n in shapes:
-            M = IntMatrix.from_rows(
-                [[rng.choice(values) for _ in range(n)] for _ in range(m)], n
-            )
+        for M in _random_matrices():
             assert smith_normal_form(M) == dense_smith_reference(M), M
 
     def test_matches_dense_reference_on_relation_matrices(self):
@@ -151,6 +165,59 @@ class TestSparseUnitPivots:
             else:
                 # a row operation on the block or a V-column operation
                 assert rows <= 25, (name, rows, width)
+
+
+class TestNormalFormMap:
+    """Columns of V built from the recorded elimination on request."""
+
+    def test_map_matches_reference_random(self):
+        for M in _random_matrices():
+            F = smith_normal_form(M)
+            units = F.divisors.count(1)
+            assert (F.divisors[units:], F.transform(units)) == reference_map(M), M
+
+    def test_map_matches_reference_on_relation_matrices(self):
+        for P, j in table_presentations():
+            M = relation_rows(P, j)
+            F = smith_normal_form(M)
+            units = F.divisors.count(1)
+            assert (F.divisors[units:], F.transform(units)) == reference_map(M)
+            if j == 2:
+                assert P.snf_data == reference_map(M), (P.A, P.n)
+
+    def test_map_matches_reference_b2_z29(self):
+        P = BnGPresentation(AbelianGroup((29,)), 2)
+        divisors, nf_map = P.snf_data
+        assert (nf_map.num_rows, nf_map.num_cols) == (434, 37)
+        assert (divisors, nf_map) == reference_map(P.relation_matrix)
+
+    def test_reads_as_divisors_and_v(self):
+        M = IntMatrix.from_rows([[2, 4], [6, 8], [1, 3]])
+        F = smith_normal_form(M)
+        divisors, V = F
+        assert F[0] == F.divisors == divisors == [1, 2]
+        assert F[1] == F[-1] == F.transform(0) == V
+        assert F == (divisors, V) == dense_smith_reference(M)
+        assert dense_smith_reference(M) == F and F != (divisors,)
+        with pytest.raises(IndexError):
+            F[2]
+
+    def test_structure_queries_build_no_transform(self, monkeypatch, capsys):
+        def refuse(self, first=0):
+            raise AssertionError("column transform built for a structure query")
+
+        monkeypatch.setattr(burnside.zlinalg.SmithForm, "transform", refuse)
+        assert BnGPresentation(AbelianGroup((23,)), 2).structure() == (23, [22])
+        for argv, out in (
+            (["bng-structure", "--group", '{"invariant_factors":[23]}', "--n", "2"],
+             '{"free_rank":23,"torsion":[22]}\n'),
+            (["verify-prop71", "--group", '{"invariant_factors":[4]}', "--n", "3"],
+             '{"row_spaces_equal":true}\n'),
+            (["verify-prop71", "--group", '{"invariant_factors":[2,2]}', "--n", "3"],
+             '{"row_spaces_equal":true}\n'),
+        ):
+            assert cli.run(argv) == 0
+            assert capsys.readouterr().out == out
 
 
 class TestCokernel:
