@@ -2,7 +2,10 @@
 
 from .abelian import (
     AbelianGroup,
+    apply_dual,
+    character_action,
     generates,
+    transport_characters,
     wedge_equivalent,
 )
 from .bng import (
@@ -27,9 +30,6 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     SubgroupRef,
-    apply_dual,
-    character_action,
-    transport_characters,
 )
 from .relations import (
     ExpansionReport,

@@ -4,7 +4,9 @@ A group is a chain of factors ``n_1 | n_2 | ... | n_r`` (each ``>= 2``;
 the empty chain is the trivial group).  Since the ground field is assumed
 to contain enough roots of unity, the character group is identified with
 the group itself: a character is an integer vector with entry ``i``
-reduced modulo ``n_i``.
+reduced modulo ``n_i``.  The dual maps between the character groups of
+abelian subgroups of a finite group (the normalizer's action, transport
+along conjugation) are matrices on these vectors.
 """
 
 from __future__ import annotations
@@ -12,11 +14,17 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import InputError, InvariantError, PreconditionError, SizeError
 from .errors import is_int_rows, load_json
 from .zlinalg import IntMatrix, det
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup, SubgroupRef
 
 # generates factors the exponent by trial division up to its square root
 MAX_EXPONENT = 10**12
@@ -52,12 +60,12 @@ class AbelianGroup:
         return (0,) * self.rank
 
     def reduce(self, vec) -> tuple[int, ...]:
-        vec = tuple(int(x) for x in vec)
+        vec = tuple(map(int, vec))
         if len(vec) != self.rank:
             raise InputError(
                 f"character has length {len(vec)}, expected {self.rank}"
             )
-        return tuple(x % n for x, n in zip(vec, self.invariant_factors))
+        return tuple(map(operator.mod, vec, self.invariant_factors))
 
     def add(self, a, b) -> tuple[int, ...]:
         return self.reduce(x + y for x, y in zip(self.reduce(a), self.reduce(b)))
@@ -92,6 +100,14 @@ class AbelianGroup:
                     seen.add(nxt)
                     frontier.append(nxt)
         return frozenset(seen)
+
+    @cached_property
+    def _frattini_ranks(self) -> tuple[tuple[int, int], ...]:
+        """(p, dim A/pA) for each prime p dividing the exponent."""
+        e, facs = self.exponent, self.invariant_factors
+        if e > MAX_EXPONENT:
+            raise SizeError(f"group exponent {e} exceeds bound {MAX_EXPONENT}")
+        return tuple((p, sum(n % p == 0 for n in facs)) for p in _prime_divisors(e))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -130,11 +146,9 @@ def generates(A: AbelianGroup, beta) -> bool:
     Frattini quotient test: for every prime ``p`` dividing the exponent they
     must span ``A/pA = F_p^r``, read on the ``r`` factors that ``p`` divides.
     """
-    if A.exponent > MAX_EXPONENT:
-        raise SizeError(f"group exponent {A.exponent} exceeds bound {MAX_EXPONENT}")
+    ranks = A._frattini_ranks
     beta = [A.reduce(b) for b in beta]
-    for p in _prime_divisors(A.exponent):
-        r = sum(1 for n in A.invariant_factors if n % p == 0)
+    for p, r in ranks:
         rows = [[x % p for x in b[A.rank - r :]] for b in beta]
         # eliminate over F_p (a pivot row clears itself); no pivot: rank < r
         for c in range(r):
@@ -169,3 +183,55 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     db = det(IntMatrix.from_rows([[b[i] for b in beta] for i in range(d)], d))
     dg = det(IntMatrix.from_rows([[c[i] for c in gamma] for i in range(d)], d))
     return (db - dg) % n1 == 0 or (db + dg) % n1 == 0
+
+
+def _dual_matrix(src: SubgroupRef, dst: SubgroupRef, conj_map) -> list[list[int]]:
+    """Matrix of the dual map (src characters -> dst characters).
+
+    ``conj_map`` sends dst elements into src; the dual of a character ``a``
+    on src is ``a o conj_map`` on dst, expressed on dst's character basis.
+    """
+    n_src = src.structure.invariant_factors
+    n_dst = dst.structure.invariant_factors
+    r_src, r_dst = len(n_src), len(n_dst)
+    mat = []
+    for i in range(r_dst):
+        pre = src.coords(conj_map(dst.basis[i]))
+        row = []
+        for j in range(r_src):
+            num = pre[j] * n_dst[i]
+            if num % n_src[j]:
+                raise InvariantError("conjugation does not respect orders")
+            row.append((num // n_src[j]) % n_dst[i])
+        mat.append(row)
+    return mat
+
+
+def apply_dual(matrix, factors, char) -> tuple[int, ...]:
+    """Apply a dual-map matrix to a character vector (row i mod factors[i])."""
+    return tuple(
+        sum(m * a for m, a in zip(row, char)) % n
+        for row, n in zip(matrix, factors)
+    )
+
+
+def character_action(G: FiniteGroup, g: int, H: SubgroupRef) -> list[list[int]]:
+    """Automorphism of the character group of ``H`` induced by conjugation.
+
+    ``g`` must normalize ``H``; the returned matrix expresses
+    ``a -> a o conj_{g^-1}`` on the invariant-factor character basis, so the
+    action is contravariant: acting by ``g * g'`` equals acting by ``g``
+    after acting by ``g'``.
+    """
+    if g not in H.normalizer:
+        raise PreconditionError(f"element {g} does not normalize the subgroup")
+    ginv = G.inv(g)
+    return _dual_matrix(H, H, lambda h: G.conj(ginv, h))
+
+
+def transport_characters(
+    G: FiniteGroup, src: SubgroupRef, dst: SubgroupRef, g: int
+):
+    """Dual-map matrix carrying characters of ``src`` to ``g src g^-1 = dst``."""
+    ginv = G.inv(g)
+    return _dual_matrix(src, dst, lambda h: G.conj(ginv, h))

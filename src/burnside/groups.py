@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from operator import eq, itemgetter
 
-from .abelian import AbelianGroup
-from .errors import InputError, InvariantError, PreconditionError, SizeError
+from .abelian import AbelianGroup, character_action, transport_characters
+from .errors import InputError, InvariantError, SizeError
 from .errors import is_int_rows, load_json
 
 # S6, the largest group the benchmark runs, has 612 abelian subgroups
@@ -25,24 +26,38 @@ MAX_GROUP_ORDER = 2000
 
 def _table_rows(left, parents) -> tuple:
     """Cayley table rows: element 0 is the identity, element y >= 1 is g_k x
-    for ``parents[y - 1] = (x, k)`` with x < y, and left[k][x] indexes g_k x."""
-    rows = [tuple(range(len(parents) + 1))]
+    for ``parents[y - 1] = (x, k)`` with x < y, and left[k][x] indexes g_k x.
+    Rows are arrays of unsigned shorts: MAX_GROUP_ORDER fits, and S6's table
+    takes 1 MiB instead of 4."""
+    rows = [array("H", range(len(parents) + 1))]
     for x, k in parents:  # (g_k x) q = g_k (x q): row x mapped by left[k]
-        rows.append(tuple(map(left[k].__getitem__, rows[x])))
+        rows.append(array("H", itemgetter(*rows[x])(left[k])))
     return tuple(rows)
+
+
+def _radix_parents(factors) -> list:
+    """(x - e_k, k) for each x >= 1 in mixed-radix order over ``factors``,
+    with k the last nonzero coordinate of x: the first stride dividing x."""
+    strides = [math.prod(factors[k + 1 :]) for k in range(len(factors))]
+    return [
+        (x - strides[k], k)
+        for x in range(1, math.prod(factors))
+        for k in [next(k for k, s in enumerate(strides) if x % s == 0)]
+    ]
 
 
 class FiniteGroup:
     """A finite group given by its Cayley table over element indices."""
 
     def __init__(self, cayley, identity=None, _trusted=False):
-        # the constructors hand over rows that are tuples of ints already
+        # the constructors hand over square arrays of entries in range
         table = tuple(cayley if _trusted else (tuple(map(int, r)) for r in cayley))
         n = len(table)
-        if any(len(row) != n for row in table):
-            raise InputError("Cayley table must be square")
-        if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
-            raise InputError("Cayley table entries out of range")
+        if not _trusted:
+            if any(len(row) != n for row in table):
+                raise InputError("Cayley table must be square")
+            if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
+                raise InputError("Cayley table entries out of range")
         self.cayley = table
         self.order = n
         if identity is None:
@@ -55,6 +70,8 @@ class FiniteGroup:
         except ValueError:
             g = next(g for g, row in enumerate(table) if identity not in row)
             raise InputError(f"element {g} has no inverse") from None
+        if not _trusted:  # checked as tuples, kept as arrays
+            self.cayley = tuple(array("H", row) for row in table)
 
     # construction helpers ------------------------------------------------
 
@@ -97,7 +114,8 @@ class FiniteGroup:
 
     def conj(self, g: int, h: int) -> int:
         """g h g^-1"""
-        return self.mul(self.mul(g, h), self.inv(g))
+        tab = self.cayley
+        return tab[tab[g][h]][self.inverse[g]]
 
     def element_order(self, g: int) -> int:
         k, cur = 1, g
@@ -130,7 +148,8 @@ class FiniteGroup:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return all(map(eq, self.cayley, zip(*self.cayley)))  # table = transpose
+        tab = self.cayley  # table = transpose
+        return all(map(eq, map(tuple, tab), zip(*tab)))
 
     # constructors --------------------------------------------------------
 
@@ -178,12 +197,7 @@ class FiniteGroup:
             [x - x % (q * s) + (x + s) % (q * s) for x in range(A.order)]
             for q, s in zip(facs, strides)
         ]
-        parents = []
-        for x in range(1, A.order):
-            # x - e_k for the last nonzero coordinate k: the first stride dividing x
-            k = next(k for k, s in enumerate(strides) if x % s == 0)
-            parents.append((x - strides[k], k))
-        return FiniteGroup(_table_rows(left, parents), identity=0, _trusted=True)
+        return FiniteGroup(_table_rows(left, _radix_parents(facs)), 0, _trusted=True)
 
     @staticmethod
     def from_json(text: str) -> "FiniteGroup":
@@ -219,15 +233,29 @@ class FiniteGroup:
     def _abelian_subgroups(self) -> list[tuple[int, ...]]:
         """All abelian subgroups, as sorted element-index tuples.  Each is
         extended by the elements of C(sub) - sub; C(<sub, g>) = C(sub) & C(g)."""
-        tab, n = self.cayley, self.order
+        tab, n, inverse = self.cayley, self.order, self.inverse
         whole = frozenset(range(n))
-        centralizer = []
+        # centralizers equal to G, and intersections that change nothing,
+        # share one set: 2000 copies of Z/2000 would take 400 MiB
+        centralizer = [whole] * n if self.is_abelian else [None] * n
         for g, row in enumerate(tab):
+            if centralizer[g] is not None:
+                continue
             commuting = map(eq, row, map(itemgetter(g), tab))
             c = frozenset(itertools.compress(range(n), commuting))
-            # centralizers equal to G, and intersections that change nothing,
-            # share one set: 2000 copies of Z/2000 would take 400 MiB
-            centralizer.append(whole if len(c) == n else c)
+            if len(c) == n:
+                centralizer[g] = whole
+                continue
+            # C(x g x^-1) = x C(g) x^-1 over the class of g, of size n / |C(g)|
+            todo = n // len(c)
+            for x, xrow in enumerate(tab):
+                y = tab[xrow[g]][inverse[x]]
+                if centralizer[y] is None:
+                    xc = map(tab.__getitem__, map(xrow.__getitem__, c))
+                    centralizer[y] = frozenset(map(itemgetter(inverse[x]), xc))
+                    todo -= 1
+                    if not todo:
+                        break
         trivial = frozenset((self.identity,))
         found = {trivial}
         frontier = [(trivial, whole)]
@@ -269,21 +297,24 @@ class FiniteGroup:
         if self.is_abelian:
             whole = tuple(range(self.order))
             return {sub: (sub, 0, whole) for sub in self._abelian_subgroups}
+        tab, inverse = self.cayley, self.inverse
         info = {}
         for sub in self._abelian_subgroups:
             if sub in info:
                 continue
             transporter = {}
-            for g in range(self.order):
-                img = tuple(sorted(self.conj(g, h) for h in sub))
+            for g, row in enumerate(tab):
+                # g sub g^-1: sub through row g, then column g^-1
+                gsub = map(tab.__getitem__, map(row.__getitem__, sub))
+                img = tuple(sorted(map(itemgetter(inverse[g]), gsub)))
                 transporter.setdefault(img, []).append(g)
             rep = min(transporter)
             for img, into in transporter.items():
-                g0inv = self.inv(into[0])
+                right = itemgetter(inverse[into[0]])
                 info[img] = (
                     rep,
-                    min(self.mul(g, g0inv) for g in transporter[rep]),
-                    tuple(sorted(self.mul(g, g0inv) for g in into)),
+                    min(map(right, map(tab.__getitem__, transporter[rep]))),
+                    tuple(sorted(map(right, map(tab.__getitem__, into)))),
                 )
         return info
 
@@ -296,7 +327,11 @@ class FiniteGroup:
         key = tuple(sorted(set(elems)))
         refs = self._subgroup_refs
         if key not in refs:
-            if self.closure(key) != frozenset(key):
+            # a finite nonempty set S with S S in S is a subgroup (G is one)
+            tab, members = self.cayley, frozenset(key)
+            if not key or key != tuple(range(self.order)) and not all(
+                members.issuperset(map(tab[a].__getitem__, key)) for a in key
+            ):
                 raise InputError("element set is not closed under the group law")
             if not (self.is_abelian or self.is_abelian_subset(key)):
                 raise InvariantError("subgroup is not abelian")
@@ -329,7 +364,20 @@ class FiniteGroup:
         return self._class_entry(elems)[2]
 
 
-def _split_abelian_basis(elems, mul, identity, order_of):
+def _element_orders(elems, mul, identity) -> dict:
+    """Order of every element, by walking the cyclic group <x> of each x not
+    yet reached: x^i has order m / gcd(i, m) when <x> has order m."""
+    orders = {identity: 1}
+    for x in (x for x in elems if x not in orders):
+        powers = [x]
+        while powers[-1] != identity:
+            powers.append(mul(powers[-1], x))
+        for i, y in enumerate(powers, 1):
+            orders.setdefault(y, len(powers) // math.gcd(i, len(powers)))
+    return orders
+
+
+def _split_abelian_basis(elems, mul, identity):
     """Basis of a finite abelian group by splitting off maximal-order elements.
 
     ``elems`` is an ordered list of hashable element handles.  Returns a list
@@ -339,7 +387,7 @@ def _split_abelian_basis(elems, mul, identity, order_of):
     nontrivial = [x for x in elems if x != identity]
     if not nontrivial:
         return []
-    orders = {x: order_of(x) for x in elems}
+    orders = _element_orders(elems, mul, identity)
     # max keeps the first of equal keys: the earliest element of maximal order
     g = max(nontrivial, key=orders.__getitem__)
     m = orders[g]
@@ -358,19 +406,11 @@ def _split_abelian_basis(elems, mul, identity, order_of):
         cosets.append(coset)
         for y in coset:
             coset_of[y] = coset
-    q_identity = coset_of[identity]
 
     def q_mul(c1, c2):
         return coset_of[mul(next(iter(c1)), next(iter(c2)))]
 
-    def q_order(c):
-        k, cur = 1, c
-        while cur != q_identity:
-            cur = q_mul(cur, c)
-            k += 1
-        return k
-
-    q_basis = _split_abelian_basis(cosets, q_mul, q_identity, q_order)
+    q_basis = _split_abelian_basis(cosets, q_mul, coset_of[identity])
     basis = [(g, m)]
     for coset, mq in q_basis:
         # a maximal-order pivot guarantees a lift of the same order
@@ -406,6 +446,24 @@ class SubgroupRef:
     def normalizer(self) -> tuple[int, ...]:
         return self.group.normalizer(self.elements)
 
+    @cached_property
+    def character_actions(self) -> tuple:
+        """The distinct ``character_action`` matrices of the normalizer, as
+        tuples of rows: the identity's first, then in the order of the first
+        normalizing element that gives each."""
+        G = self.group
+        mats = (character_action(G, g, self) for g in (G.identity, *self.normalizer))
+        return tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
+
+    @cached_property
+    def to_representative(self) -> tuple["SubgroupRef", list | None]:
+        """The class representative and the ``transport_characters`` matrix
+        to it by the least conjugator (None when this is the representative)."""
+        G = self.group
+        rep, g = G.class_representative(self.elements)
+        dst = G.subgroup(rep)
+        return dst, None if dst is self else transport_characters(G, self, dst, g)
+
     @property
     def structure(self) -> AbelianGroup:
         return self._structure_data[0]
@@ -418,26 +476,23 @@ class SubgroupRef:
     @cached_property
     def _structure_data(self):
         G = self.group
-        elems = list(self.elements)
-        pairs = _split_abelian_basis(elems, G.mul, G.identity, G.element_order)
+        pairs = _split_abelian_basis(list(self.elements), G.mul, G.identity)
         pairs.reverse()  # increasing orders = invariant factor order
         factors = tuple(m for _, m in pairs)
         basis = tuple(g for g, _ in pairs)
         structure = AbelianGroup(factors)
-        to_coords = {}
-        from_coords = {}
-        for coords in itertools.product(*(range(m) for m in factors)):
-            x = G.identity
-            for b, k in zip(basis, coords):
-                for _ in range(k):
-                    x = G.mul(x, b)
-            if x in to_coords:
-                raise InvariantError("abelian basis is not independent")
-            to_coords[x] = coords
-            from_coords[coords] = x
+        # elements in mixed-radix order of their coordinates, each one
+        # product from its parent: x = (x - e_k) b_k
+        tab, elems = G.cayley, [G.identity]
+        for x, k in _radix_parents(factors):
+            elems.append(tab[elems[x]][basis[k]])
+        coords = list(itertools.product(*(range(m) for m in factors)))
+        to_coords = dict(zip(elems, coords))
+        if len(to_coords) != len(elems):
+            raise InvariantError("abelian basis is not independent")
         if len(to_coords) != self.order:
             raise InvariantError("abelian basis does not span the subgroup")
-        return structure, basis, to_coords, from_coords
+        return structure, basis, to_coords, dict(zip(coords, elems))
 
     def coords(self, elem: int) -> tuple[int, ...]:
         """Invariant-factor coordinates of a subgroup element."""
@@ -463,54 +518,3 @@ class SubgroupRef:
             % e
         )
 
-
-def _dual_matrix(src: SubgroupRef, dst: SubgroupRef, conj_map) -> list[list[int]]:
-    """Matrix of the dual map (src characters -> dst characters).
-
-    ``conj_map`` sends dst elements into src; the dual of a character ``a``
-    on src is ``a o conj_map`` on dst, expressed on dst's character basis.
-    """
-    n_src = src.structure.invariant_factors
-    n_dst = dst.structure.invariant_factors
-    r_src, r_dst = len(n_src), len(n_dst)
-    mat = []
-    for i in range(r_dst):
-        pre = src.coords(conj_map(dst.basis[i]))
-        row = []
-        for j in range(r_src):
-            num = pre[j] * n_dst[i]
-            if num % n_src[j]:
-                raise InvariantError("conjugation does not respect orders")
-            row.append((num // n_src[j]) % n_dst[i])
-        mat.append(row)
-    return mat
-
-
-def apply_dual(matrix, factors, char) -> tuple[int, ...]:
-    """Apply a dual-map matrix to a character vector (row i mod factors[i])."""
-    return tuple(
-        sum(m * a for m, a in zip(row, char)) % n
-        for row, n in zip(matrix, factors)
-    )
-
-
-def character_action(G: FiniteGroup, g: int, H: SubgroupRef) -> list[list[int]]:
-    """Automorphism of the character group of ``H`` induced by conjugation.
-
-    ``g`` must normalize ``H``; the returned matrix expresses
-    ``a -> a o conj_{g^-1}`` on the invariant-factor character basis, so the
-    action is contravariant: acting by ``g * g'`` equals acting by ``g``
-    after acting by ``g'``.
-    """
-    if g not in H.normalizer:
-        raise PreconditionError(f"element {g} does not normalize the subgroup")
-    ginv = G.inv(g)
-    return _dual_matrix(H, H, lambda h: G.conj(ginv, h))
-
-
-def transport_characters(
-    G: FiniteGroup, src: SubgroupRef, dst: SubgroupRef, g: int
-):
-    """Dual-map matrix carrying characters of ``src`` to ``g src g^-1 = dst``."""
-    ginv = G.inv(g)
-    return _dual_matrix(src, dst, lambda h: G.conj(ginv, h))

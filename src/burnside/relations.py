@@ -141,65 +141,53 @@ def expand_b2(s: Symbol, i: int, j: int) -> ExpansionReport:
 def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     """Multi-index expansion acting on the first ``j`` weights of a symbol.
 
-    Sums over admissible pairs of an index set and a zero-avoiding coset;
-    each admissible index set determines at most one coset, but cosets are
-    enumerated and filtered literally.
+    Sums over admissible pairs of an index set I and a zero-avoiding coset
+    holding exactly the weights beta[i], i in I, of the first ``j``.  Only
+    beta[i0] + <beta[i] - beta[i0]>, i0 = min I, can hold them all, so it
+    alone is tested: x lies in it exactly when x - beta[i0] is in the span.
     """
     beta = s.beta
     if not (2 <= j <= len(beta)):
         raise InputError(f"j = {j} out of range for {len(beta)} weights")
     A = s.subgroup.structure
-    elements = list(A.elements())
+    facs = A.invariant_factors
     out: dict[Symbol, int] = {}
     for size in range(1, j + 1):
         for I in itertools.combinations(range(j), size):
             i0 = I[0]
-            diffs = [A.sub(beta[i], beta[i0]) for i in I[1:]]
+            # weights are reduced characters: subtract without validation
+            diff = [
+                tuple((x - y) % q for x, y, q in zip(b, beta[i0], facs))
+                for b in beta[:j]
+            ]
+            diffs = [diff[i] for i in I[1:]]
+            complement = [i for i in range(j) if i not in I]
             span = A.subgroup_generated(diffs)
-            # enumerate cosets of the difference subgroup
-            seen = set()
-            for rep in elements:
-                coset = frozenset(A.add(rep, u) for u in span)
-                if coset in seen:
-                    continue
-                seen.add(coset)
-                if A.zero() in coset:
-                    continue
-                if {i for i in range(j) if beta[i] in coset} != set(I):
-                    continue
-                if any(beta[k] in span for k in range(j, len(beta))):
-                    continue
-                if diffs:
-                    Hbar, Kbar = construction_a(
-                        s.group, s.subgroup, s.field_label, diffs
-                    )
-                else:
-                    # singleton index set: nothing is blown down, keep the label
-                    Hbar, Kbar = s.subgroup, s.field_label
-                complement = [i for i in range(j) if i not in I]
-                new_beta = (
-                    (restrict_character(s.subgroup, Hbar, beta[i0]),)
-                    + tuple(
-                        restrict_character(
-                            s.subgroup, Hbar, A.sub(beta[i], beta[i0])
-                        )
-                        for i in complement
-                    )
-                    + tuple(
-                        restrict_character(s.subgroup, Hbar, beta[k])
-                        for k in range(j, len(beta))
-                    )
+            if (
+                beta[i0] in span
+                or any(diff[i] in span for i in complement)
+                or any(beta[k] in span for k in range(j, len(beta)))
+            ):
+                continue
+            if diffs:
+                Hbar, Kbar = construction_a(s.group, s.subgroup, s.field_label, diffs)
+            else:
+                # singleton index set: nothing is blown down, keep the label
+                Hbar, Kbar = s.subgroup, s.field_label
+            new_beta = tuple(
+                restrict_character(s.subgroup, Hbar, b)
+                for b in [beta[i0], *(diff[i] for i in complement), *beta[j:]]
+            )
+            term = canonicalize_symbol(
+                Symbol(
+                    group=s.group,
+                    subgroup=Hbar,
+                    field_label=Kbar,
+                    beta=new_beta,
+                    ambient_n=s.ambient_n,
                 )
-                term = canonicalize_symbol(
-                    Symbol(
-                        group=s.group,
-                        subgroup=Hbar,
-                        field_label=Kbar,
-                        beta=new_beta,
-                        ambient_n=s.ambient_n,
-                    )
-                )
-                out[term] = out.get(term, 0) + 1
+            )
+            out[term] = out.get(term, 0) + 1
     return SymbolSum(out, _canonical=True)
 
 

@@ -13,15 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .abelian import AbelianGroup, generates
+from .abelian import AbelianGroup, apply_dual, generates, transport_characters
 from .errors import InputError, InvariantError, is_int_rows, load_json
-from .groups import (
-    FiniteGroup,
-    SubgroupRef,
-    apply_dual,
-    character_action,
-    transport_characters,
-)
+from .groups import FiniteGroup, SubgroupRef
 
 
 @dataclass(frozen=True)
@@ -268,29 +262,22 @@ def canonicalize_symbol(s: Symbol) -> Symbol:
     First the subgroup is replaced by its conjugacy-class representative via
     the least conjugating element, transporting the weights; then the weight
     multiset is replaced by the lexicographically least element of its orbit
-    under the normalizer action.  Idempotent.
+    under the normalizer action.  Both are read from the subgroups' caches
+    (``to_representative``, ``character_actions``).  Idempotent.
     """
-    G = s.group
-    rep, conjugator = G.class_representative(s.subgroup.elements)
-    if rep != s.subgroup.elements:
-        s = conjugate_symbol(s, conjugator)
-    H = s.subgroup
+    H, transport = s.subgroup.to_representative
     facs = H.structure.invariant_factors
-    mats = []
-    seen = set()
-    for g in H.normalizer:
-        mat = character_action(G, g, H)
-        key = tuple(tuple(row) for row in mat)
-        if key not in seen:
-            seen.add(key)
-            mats.append(mat)
+    beta = s.beta
+    if transport is not None:
+        beta = [apply_dual(transport, facs, b) for b in beta]
     best = min(
-        tuple(sorted(apply_dual(mat, facs, b) for b in s.beta)) for mat in mats
+        tuple(sorted(apply_dual(mat, facs, b) for b in beta))
+        for mat in H.character_actions
     )
-    if best == s.beta:
+    if best == s.beta and H is s.subgroup:
         return s
     return Symbol(
-        group=G,
+        group=s.group,
         subgroup=H,
         field_label=s.field_label,
         beta=best,

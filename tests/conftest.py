@@ -1,5 +1,6 @@
 """Shared fixtures and independent cross-check helpers."""
 
+import functools
 import importlib.util
 import itertools
 import math
@@ -8,7 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from burnside import AbelianGroup, Atom, BnGPresentation, FiniteGroup, IntMatrix, Symbol
+from burnside import (
+    AbelianGroup,
+    Atom,
+    BnGPresentation,
+    FiniteGroup,
+    IntMatrix,
+    Symbol,
+    construction_a,
+    restrict_character,
+)
 
 
 def laplace_det(rows):
@@ -327,3 +337,133 @@ def generating_multisets(factors, size):
         for beta in itertools.combinations_with_replacement(nonzero, size)
         if len(A.subgroup_generated(beta)) == A.order
     ]
+
+
+def _moved_characters(G, src, dst, g, chars) -> list:
+    """Characters of ``dst = g src g^-1`` carried from ``chars`` on ``src``:
+    the character of dst whose value at x is the old one's at g^-1 x g,
+    found among all of dst's characters by comparing value tables."""
+    tab = G.cayley
+    ginv = next(x for x in range(G.order) if tab[g][x] == G.identity)
+    pulled = [tab[tab[ginv][x]][g] for x in dst.elements]
+    by_values = {
+        tuple(dst.char_value(c, x) for x in dst.elements): c
+        for c in dst.structure.elements()
+    }
+    return [by_values[tuple(src.char_value(b, y) for y in pulled)] for b in chars]
+
+
+def canonicalize_reference(s):
+    """Canonical form by a scan on every call: the class representative is
+    the least conjugate of the subgroup, reached by the least conjugator,
+    and the weights are the least sorted tuple over every element of the
+    representative's normalizer."""
+    G, elems = s.group, s.subgroup.elements
+    rep = min(conjugate_by_scan(G, g, elems) for g in range(G.order))
+    H = G.subgroup(rep)
+    g = least_conjugator_by_scan(G, elems, rep)
+    beta = _moved_characters(G, s.subgroup, H, g, s.beta)
+    best = min(
+        tuple(sorted(_moved_characters(G, H, H, x, beta)))
+        for x in normalizer_by_scan(G, rep)
+    )
+    return Symbol(
+        group=G, subgroup=H, field_label=s.field_label, beta=best, ambient_n=s.ambient_n
+    )
+
+
+def expand_prop46_reference(s, j) -> dict:
+    """The multi-index expansion by literal enumeration of every coset of
+    each index set's difference subgroup, terms canonicalized by
+    ``canonicalize_reference``: symbol -> coefficient."""
+    beta = s.beta
+    A = s.subgroup.structure
+    out = {}
+    for size in range(1, j + 1):
+        for I in itertools.combinations(range(j), size):
+            i0 = I[0]
+            diffs = [A.sub(beta[i], beta[i0]) for i in I[1:]]
+            span = A.subgroup_generated(diffs)
+            seen = set()
+            for rep in A.elements():
+                coset = frozenset(A.add(rep, u) for u in span)
+                if coset in seen:
+                    continue
+                seen.add(coset)
+                if A.zero() in coset:
+                    continue
+                if {i for i in range(j) if beta[i] in coset} != set(I):
+                    continue
+                if any(beta[k] in span for k in range(j, len(beta))):
+                    continue
+                if diffs:
+                    Hbar, Kbar = construction_a(s.group, s.subgroup, s.field_label, diffs)
+                else:
+                    Hbar, Kbar = s.subgroup, s.field_label
+                complement = [i for i in range(j) if i not in I]
+                new_beta = [beta[i0]] + [A.sub(beta[i], beta[i0]) for i in complement]
+                new_beta += beta[j:]
+                term = canonicalize_reference(
+                    Symbol(
+                        group=s.group,
+                        subgroup=Hbar,
+                        field_label=Kbar,
+                        beta=tuple(restrict_character(s.subgroup, Hbar, b) for b in new_beta),
+                        ambient_n=s.ambient_n,
+                    )
+                )
+                out[term] = out.get(term, 0) + 1
+    return out
+
+
+@functools.cache
+def dihedral_d12():
+    """Dihedral group of order 24 on 12 points."""
+    return FiniteGroup.from_permutations(
+        12, [[(i + 1) % 12 for i in range(12)], [(-i) % 12 for i in range(12)]]
+    )
+
+
+@functools.cache
+def symmetric_s5_table():
+    """S5 given as a raw Cayley table, so the table path builds it."""
+    S5 = FiniteGroup.from_permutations(5, [[1, 0, 2, 3, 4], [1, 2, 3, 4, 0]])
+    return FiniteGroup([list(row) for row in S5.cayley])
+
+
+@functools.cache
+def alternating_a5():
+    return FiniteGroup.from_permutations(5, [[1, 2, 0, 3, 4], [1, 2, 3, 4, 0]])
+
+
+def stratum_symbols(G, per_stratum=6) -> list:
+    """Symbols on a conjugate of every abelian subgroup class other than its
+    representative where there is one, at n = 2 and 3 where n is not below
+    the rank: up to ``per_stratum`` generating weight tuples each, spread
+    over all of them, each in increasing and in decreasing order."""
+    out = []
+    K = Atom(name="k", trdeg=0)
+    for rep in G.abelian_subgroup_classes():
+        conjugates = {conjugate_by_scan(G, g, rep.elements) for g in range(G.order)}
+        H = G.subgroup(max(conjugates))
+        A = H.structure
+        nonzero = [a for a in A.elements() if any(a)]
+        for n in (2, 3):
+            if A.rank > n:
+                continue
+            betas = [
+                b
+                for b in itertools.combinations_with_replacement(nonzero, n)
+                if len(A.subgroup_generated(b)) == A.order
+            ]
+            step = max(1, len(betas) // per_stratum)
+            for beta in betas[::step][:per_stratum]:
+                for order in (beta, beta[::-1]):
+                    out.append(
+                        Symbol(group=G, subgroup=H, field_label=K, beta=order, ambient_n=n)
+                    )
+    return out
+
+
+# the non-abelian groups of the benchmark's symbol workload, but S6
+SYMBOL_ORACLE_GROUPS = {"D12": dihedral_d12, "S5": symmetric_s5_table, "A5": alternating_a5}

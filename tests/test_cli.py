@@ -327,6 +327,28 @@ class TestOtherCommands:
         assert out["subgroup"] == [0, 2, 3, 7]
         assert out["beta"] == sorted(out["beta"])
 
+    def test_canon_on_large_cyclic_group(self):
+        # the full subgroup of Z/1000: the closure test, element orders and
+        # coordinates cost one row or one product per element, and the
+        # timeout catches quadratic work in Python
+        symbol = json.dumps(
+            {
+                "subgroup": list(range(1000)),
+                "field": {"atom": {"name": "k", "trdeg": 0}},
+                "beta": [[7], [1]],
+                "n": 2,
+            }
+        )
+        group = '{"type":"abelian","invariant_factors":[1000]}'
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "canon", "--group", group, "--symbol", symbol],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["beta"] == [[1], [7]]
+
     def test_canon_on_s6_table(self, capsys):
         # the table path checks associativity by Light's test, not by all
         # 720^3 triples

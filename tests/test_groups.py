@@ -79,7 +79,7 @@ class TestConstruction:
         index = {e: i for i, e in enumerate(elems)}
         want = tuple(tuple(index[A.add(x, y)] for y in elems) for x in elems)
         G = FiniteGroup.from_invariant_factors(factors)
-        assert G.cayley == want
+        assert tuple(map(tuple, G.cayley)) == want
         assert G.identity == index[A.zero()]
 
     def test_group_order_bound(self):
@@ -150,7 +150,8 @@ class TestAgainstOracles:
     def test_table_and_inverse(self, name):
         want = _oracle_table(name)
         for G in (_built(name), FiniteGroup([list(row) for row in want])):
-            assert G.cayley == want
+            assert tuple(map(tuple, G.cayley)) == want
+            assert all(row.typecode == "H" for row in G.cayley)  # 2 bytes a cell
             assert G.identity == 0
             n = G.order
             assert G.inverse == tuple(
@@ -347,6 +348,23 @@ class TestSubgroups:
             d8.subgroup([d8.identity, rho])  # not closed
         with pytest.raises(InvariantError):
             d8.subgroup(range(8))  # not abelian
+        with pytest.raises(InputError):
+            d8.subgroup([])
+
+    def test_subgroup_closure_test_matches_bfs(self, d8):
+        # every nonempty subset of D8 is accepted exactly when the BFS
+        # closure of its elements is itself
+        for k in range(1, d8.order + 1):
+            for elems in itertools.combinations(range(d8.order), k):
+                closed = d8.closure(elems) == frozenset(elems)
+                try:
+                    d8.subgroup(elems)
+                    accepted = True
+                except InputError:
+                    accepted = False
+                except InvariantError:  # closed, but not abelian
+                    accepted = True
+                assert accepted == closed, elems
 
     def test_structure_and_coords(self, d8, d8_parts):
         H = d8_parts["H"]

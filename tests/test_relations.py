@@ -26,10 +26,13 @@ from burnside.relations import (
 )
 from burnside.zlinalg import SparseMatrix
 from conftest import (
+    SYMBOL_ORACLE_GROUPS,
     dense_relation_rows,
     dense_rows,
+    expand_prop46_reference,
     full_group_symbol,
     generating_multisets,
+    stratum_symbols,
     table_presentations,
 )
 
@@ -154,6 +157,17 @@ class TestProp46:
             )
         )
         assert out.terms == {expected_a: 1, expected_b: 1}
+
+    @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
+    def test_matches_coset_enumeration(self, name):
+        """The one admissible coset per index set against every coset, on
+        every stratum at j = 2 and 3."""
+        symbols = stratum_symbols(SYMBOL_ORACLE_GROUPS[name]())
+        assert any(s.ambient_n == 3 for s in symbols)
+        for s in symbols:
+            for j in range(2, s.ambient_n + 1):
+                want = expand_prop46_reference(s, j)
+                assert expand_prop46(s, j).terms == want, (s.to_json_obj(), j)
 
     def test_j_validation(self):
         s = full_group_symbol((3,), [(1,), (1,)], 2)

@@ -8,17 +8,27 @@ from burnside import (
     Symbol,
     SymbolSum,
     canonicalize_symbol,
+    character_action,
     combine,
     conjugate_symbol,
     construction_a,
     restrict_character,
+    transport_characters,
 )
 from burnside.symbols import (
     field_from_json_obj,
     field_to_json_obj,
     normalize_chars,
 )
-from conftest import full_group_symbol, normalizer_by_scan
+from conftest import (
+    SYMBOL_ORACLE_GROUPS,
+    canonicalize_reference,
+    conjugate_by_scan,
+    full_group_symbol,
+    least_conjugator_by_scan,
+    normalizer_by_scan,
+    stratum_symbols,
+)
 
 
 def d8_klein_symbol(d8, d8_parts, beta=((1, 0), (0, 1))):
@@ -171,6 +181,47 @@ class TestCanonicalization:
             group=d8, subgroup=src, field_label=K, beta=((1,),), ambient_n=2
         )
         assert canonicalize_symbol(s).subgroup.elements == rep
+
+
+class TestCachedSubgroupData:
+    """The per-subgroup caches that canonicalization reads, against scans
+    of the whole group on every abelian subgroup."""
+
+    @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
+    def test_character_actions(self, name):
+        G = SYMBOL_ORACLE_GROUPS[name]()
+        for elems in G._abelian_subgroups:
+            H = G.subgroup(elems)
+            r = H.structure.rank
+            identity = tuple(tuple(int(i == k) for k in range(r)) for i in range(r))
+            assert H.character_actions[0] == identity
+            want = {
+                tuple(map(tuple, character_action(G, g, H)))
+                for g in normalizer_by_scan(G, elems)
+            }
+            assert len(H.character_actions) == len(want)
+            assert set(H.character_actions) == want
+
+    @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
+    def test_to_representative(self, name):
+        G = SYMBOL_ORACLE_GROUPS[name]()
+        for elems in G._abelian_subgroups:
+            H = G.subgroup(elems)
+            rep = min(conjugate_by_scan(G, g, elems) for g in range(G.order))
+            dst, mat = H.to_representative
+            assert dst.elements == rep
+            if rep == elems:
+                assert dst is H and mat is None
+            else:
+                g = least_conjugator_by_scan(G, elems, rep)
+                assert mat == transport_characters(G, H, dst, g)
+
+    @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
+    def test_canonical_form_matches_scan(self, name):
+        symbols = stratum_symbols(SYMBOL_ORACLE_GROUPS[name]())
+        assert symbols
+        for s in symbols:
+            assert canonicalize_symbol(s) == canonicalize_reference(s), s.to_json_obj()
 
 
 class TestConstructionA:
