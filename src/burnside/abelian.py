@@ -185,28 +185,6 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     return (db - dg) % n1 == 0 or (db + dg) % n1 == 0
 
 
-def _dual_matrix(src: SubgroupRef, dst: SubgroupRef, conj_map) -> list[list[int]]:
-    """Matrix of the dual map (src characters -> dst characters).
-
-    ``conj_map`` sends dst elements into src; the dual of a character ``a``
-    on src is ``a o conj_map`` on dst, expressed on dst's character basis.
-    """
-    n_src = src.structure.invariant_factors
-    n_dst = dst.structure.invariant_factors
-    r_src, r_dst = len(n_src), len(n_dst)
-    mat = []
-    for i in range(r_dst):
-        pre = src.coords(conj_map(dst.basis[i]))
-        row = []
-        for j in range(r_src):
-            num = pre[j] * n_dst[i]
-            if num % n_src[j]:
-                raise InvariantError("conjugation does not respect orders")
-            row.append((num // n_src[j]) % n_dst[i])
-        mat.append(row)
-    return mat
-
-
 def apply_dual(matrix, factors, char) -> tuple[int, ...]:
     """Apply a dual-map matrix to a character vector (row i mod factors[i])."""
     return tuple(
@@ -225,13 +203,27 @@ def character_action(G: FiniteGroup, g: int, H: SubgroupRef) -> list[list[int]]:
     """
     if g not in H.normalizer:
         raise PreconditionError(f"element {g} does not normalize the subgroup")
-    ginv = G.inv(g)
-    return _dual_matrix(H, H, lambda h: G.conj(ginv, h))
+    return transport_characters(G, H, H, g)
 
 
 def transport_characters(
     G: FiniteGroup, src: SubgroupRef, dst: SubgroupRef, g: int
-):
-    """Dual-map matrix carrying characters of ``src`` to ``g src g^-1 = dst``."""
+) -> list[list[int]]:
+    """Dual-map matrix carrying characters of ``src`` to ``g src g^-1 = dst``.
+
+    The image of a character ``a`` of src is ``a o conj_{g^-1}`` on dst:
+    row i holds its coefficients at dst's basis element b_i, read from the
+    src coordinates of g^-1 b_i g and scaled from src's orders to dst's.
+    """
     ginv = G.inv(g)
-    return _dual_matrix(src, dst, lambda h: G.conj(ginv, h))
+    n_src = src.structure.invariant_factors
+    n_dst = dst.structure.invariant_factors
+    mat = []
+    for b, m in zip(dst.basis, n_dst):
+        row = []
+        for c, n in zip(src.coords(G.conj(ginv, b)), n_src):
+            if c * m % n:
+                raise InvariantError("conjugation does not respect orders")
+            row.append(c * m // n % m)
+        mat.append(row)
+    return mat

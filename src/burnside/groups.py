@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import eq, itemgetter
 
-from .abelian import AbelianGroup, character_action, transport_characters
+from .abelian import AbelianGroup, apply_dual, character_action, transport_characters
 from .errors import InputError, InvariantError, SizeError
 from .errors import is_int_rows, load_json
 
@@ -154,7 +154,7 @@ class FiniteGroup:
     # constructors --------------------------------------------------------
 
     @staticmethod
-    def from_permutations(degree, perms, max_order=MAX_GROUP_ORDER):
+    def from_permutations(degree, perms):
         """Closure of permutations on ``{0..degree-1}`` under composition.
 
         Elements are indexed breadth-first from the identity, applying the
@@ -174,9 +174,9 @@ class FiniteGroup:
                 nxt = tuple(map(g.__getitem__, cur))
                 j = index.get(nxt)
                 if j is None:
-                    if len(elems) >= max_order:
+                    if len(elems) >= MAX_GROUP_ORDER:
                         raise SizeError(
-                            f"permutation closure exceeds bound {max_order}"
+                            f"permutation closure exceeds bound {MAX_GROUP_ORDER}"
                         )
                     j = index[nxt] = len(elems)
                     elems.append(nxt)
@@ -447,22 +447,25 @@ class SubgroupRef:
         return self.group.normalizer(self.elements)
 
     @cached_property
-    def character_actions(self) -> tuple:
-        """The distinct ``character_action`` matrices of the normalizer, as
-        tuples of rows: the identity's first, then in the order of the first
-        normalizing element that gives each."""
-        G = self.group
-        mats = (character_action(G, g, self) for g in (G.identity, *self.normalizer))
-        return tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
-
-    @cached_property
-    def to_representative(self) -> tuple["SubgroupRef", list | None]:
-        """The class representative and the ``transport_characters`` matrix
-        to it by the least conjugator (None when this is the representative)."""
+    def canonical_maps(self) -> tuple["SubgroupRef", tuple]:
+        """The class representative R and the distinct dual maps from this
+        subgroup's characters to R's, as tuples of rows.  On R they are the
+        ``character_action`` matrices of its normalizer, the identity's
+        first, then in the order of the first element that gives each; on a
+        conjugate, each of them after the ``transport_characters`` map T by
+        the least conjugator, built by applying it to every column of T."""
         G = self.group
         rep, g = G.class_representative(self.elements)
-        dst = G.subgroup(rep)
-        return dst, None if dst is self else transport_characters(G, self, dst, g)
+        R = G.subgroup(rep)
+        if R is self:
+            mats = (character_action(G, x, R) for x in (G.identity, *R.normalizer))
+            return R, tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
+        cols = list(zip(*transport_characters(G, self, R, g)))
+        facs = R.structure.invariant_factors
+        return R, tuple(
+            tuple(zip(*(apply_dual(mat, facs, c) for c in cols)))
+            for mat in R.canonical_maps[1]
+        )
 
     @property
     def structure(self) -> AbelianGroup:

@@ -1,8 +1,8 @@
 """The blow-up relation engine.
 
-Expands a symbol by the two-term blow-up move, by the general multi-index
-move (enumerating admissible index sets with their unique admissible
-coset), and generates the relation rows of a tuple-group presentation.
+Expands a symbol by the multi-index blow-up move (enumerating admissible
+index sets with their unique admissible coset), the two-term move being its
+case j = 2, and generates the relation rows of a tuple-group presentation.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .symbols import (
     Symbol,
     SymbolSum,
     canonicalize_symbol,
+    combine,
     construction_a,
     restrict_character,
 )
@@ -43,10 +44,7 @@ class ExpansionReport:
     vanished_by: str
 
     def total(self) -> SymbolSum:
-        terms = dict(self.theta1.terms)
-        for sym, c in self.theta2.terms.items():
-            terms[sym] = terms.get(sym, 0) + c
-        return SymbolSum(terms, _canonical=True)
+        return combine(self.theta1, self.theta2, 1, 1)
 
     def to_json_obj(self):
         return {
@@ -76,56 +74,27 @@ def apply_b1(x: SymbolSum) -> SymbolSum:
 
 
 def expand_b2(s: Symbol, i: int, j: int) -> ExpansionReport:
-    """Blow-up expansion of a symbol at the weight pair ``(i, j)``."""
+    """Blow-up expansion of a symbol at the weight pair ``(i, j)``: the
+    multi-index relation at j = 2 on the weights ``(beta_i, beta_j, rest)``.
+
+    The index sets {0} and {1} give ``raw_theta1``, the terms
+    ``(beta_i, beta_j - beta_i, rest)`` and ``(beta_j, beta_i - beta_j,
+    rest)``; {0, 1} gives ``raw_theta2``, on the kernel of the difference.
+    """
     beta = s.beta
     if not (0 <= i < len(beta)) or not (0 <= j < len(beta)) or i == j:
         raise InputError(f"invalid weight positions ({i}, {j})")
-    A = s.subgroup.structure
-    a1, a2 = beta[i], beta[j]
     rest = tuple(b for k, b in enumerate(beta) if k not in (i, j))
-
-    raw_theta1: tuple[Symbol, ...] = ()
-    if a1 != a2:
-        raw_theta1 = (
-            Symbol(
-                group=s.group,
-                subgroup=s.subgroup,
-                field_label=s.field_label,
-                beta=(a1, A.sub(a2, a1)) + rest,
-                ambient_n=s.ambient_n,
-            ),
-            Symbol(
-                group=s.group,
-                subgroup=s.subgroup,
-                field_label=s.field_label,
-                beta=(a2, A.sub(a1, a2)) + rest,
-                ambient_n=s.ambient_n,
-            ),
-        )
-
-    diff = A.sub(a1, a2)
-    span = A.subgroup_generated([diff])
-    raw_theta2: tuple[Symbol, ...] = ()
-    if not any(b in span for b in beta):
-        Hbar, Kbar = construction_a(s.group, s.subgroup, s.field_label, [diff])
-        bbar = tuple(
-            restrict_character(s.subgroup, Hbar, b) for b in (a2,) + rest
-        )
-        raw_theta2 = (
-            Symbol(
-                group=s.group,
-                subgroup=Hbar,
-                field_label=Kbar,
-                beta=bbar,
-                ambient_n=s.ambient_n,
-            ),
-        )
+    terms = ([], [])
+    for I, term in _blowup_terms(s, (beta[i], beta[j]) + rest, 2):
+        terms[len(I) - 1].append(term)
+    raw_theta1, raw_theta2 = map(tuple, terms)
 
     if not raw_theta1:
         vanished = VANISHED_EQUAL_WEIGHTS
     elif not raw_theta2:
         vanished = VANISHED_COSET
-    elif _has_inverse_pair(A, beta):
+    elif _has_inverse_pair(s.subgroup.structure, beta):
         vanished = VANISHED_B1
     else:
         vanished = VANISHED_NONE
@@ -138,56 +107,61 @@ def expand_b2(s: Symbol, i: int, j: int) -> ExpansionReport:
     )
 
 
-def expand_prop46(s: Symbol, j: int) -> SymbolSum:
-    """Multi-index expansion acting on the first ``j`` weights of a symbol.
+def _blowup_terms(s: Symbol, beta, j: int):
+    """``(I, term)`` for each admissible index set I of the first ``j`` of
+    the weights ``beta`` of ``s.subgroup``, in increasing size, the term as
+    the relation produces it, before canonicalization.
 
-    Sums over admissible pairs of an index set I and a zero-avoiding coset
-    holding exactly the weights beta[i], i in I, of the first ``j``.  Only
-    beta[i0] + <beta[i] - beta[i0]>, i0 = min I, can hold them all, so it
-    alone is tested: x lies in it exactly when x - beta[i0] is in the span.
+    An index set is admissible with a zero-avoiding coset holding exactly
+    the weights beta[i], i in I, of the first ``j``.  Only beta[i0] +
+    <beta[i] - beta[i0]>, i0 = min I, can hold them all, so it alone is
+    tested: x lies in it exactly when x - beta[i0] is in the span.
     """
-    beta = s.beta
-    if not (2 <= j <= len(beta)):
-        raise InputError(f"j = {j} out of range for {len(beta)} weights")
-    A = s.subgroup.structure
+    H, A = s.subgroup, s.subgroup.structure
     facs = A.invariant_factors
-    out: dict[Symbol, int] = {}
+    zero = {A.zero()}
+    # weights are reduced characters: subtract without validation
+    diff = [
+        [tuple((x - y) % q for x, y, q in zip(b, a, facs)) for b in beta[:j]]
+        for a in beta[:j]
+    ]
     for size in range(1, j + 1):
         for I in itertools.combinations(range(j), size):
-            i0 = I[0]
-            # weights are reduced characters: subtract without validation
-            diff = [
-                tuple((x - y) % q for x, y, q in zip(b, beta[i0], facs))
-                for b in beta[:j]
-            ]
-            diffs = [diff[i] for i in I[1:]]
+            d = diff[I[0]]
+            diffs = [d[i] for i in I[1:]]
             complement = [i for i in range(j) if i not in I]
-            span = A.subgroup_generated(diffs)
+            span = A.subgroup_generated(diffs) if diffs else zero
             if (
-                beta[i0] in span
-                or any(diff[i] in span for i in complement)
-                or any(beta[k] in span for k in range(j, len(beta)))
+                beta[I[0]] in span
+                or any(d[i] in span for i in complement)
+                or any(b in span for b in beta[j:])
             ):
                 continue
+            new_beta = (beta[I[0]], *(d[i] for i in complement), *beta[j:])
             if diffs:
-                Hbar, Kbar = construction_a(s.group, s.subgroup, s.field_label, diffs)
+                Hbar, Kbar = construction_a(s.group, H, s.field_label, diffs)
+                new_beta = tuple(restrict_character(H, Hbar, b) for b in new_beta)
             else:
                 # singleton index set: nothing is blown down, keep the label
-                Hbar, Kbar = s.subgroup, s.field_label
-            new_beta = tuple(
-                restrict_character(s.subgroup, Hbar, b)
-                for b in [beta[i0], *(diff[i] for i in complement), *beta[j:]]
+                Hbar, Kbar = H, s.field_label
+            yield I, Symbol(
+                group=s.group,
+                subgroup=Hbar,
+                field_label=Kbar,
+                beta=new_beta,
+                ambient_n=s.ambient_n,
             )
-            term = canonicalize_symbol(
-                Symbol(
-                    group=s.group,
-                    subgroup=Hbar,
-                    field_label=Kbar,
-                    beta=new_beta,
-                    ambient_n=s.ambient_n,
-                )
-            )
-            out[term] = out.get(term, 0) + 1
+
+
+def expand_prop46(s: Symbol, j: int) -> SymbolSum:
+    """Multi-index expansion acting on the first ``j`` weights of a symbol:
+    the canonical terms of every admissible index set, with multiplicity."""
+    if not (2 <= j <= len(s.beta)):
+        raise InputError(f"j = {j} out of range for {len(s.beta)} weights")
+    out: dict[Symbol, int] = {}
+    for _, term in _blowup_terms(s, s.beta, j):
+        term = canonicalize_symbol(term)
+        out[term] = out.get(term, 0) + 1
     return SymbolSum(out, _canonical=True)
 
 

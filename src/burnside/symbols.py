@@ -259,20 +259,16 @@ def conjugate_symbol(s: Symbol, g: int) -> Symbol:
 def canonicalize_symbol(s: Symbol) -> Symbol:
     """Canonical representative of a symbol under the conjugation relations.
 
-    First the subgroup is replaced by its conjugacy-class representative via
-    the least conjugating element, transporting the weights; then the weight
-    multiset is replaced by the lexicographically least element of its orbit
-    under the normalizer action.  Both are read from the subgroups' caches
-    (``to_representative``, ``character_actions``).  Idempotent.
+    The subgroup is replaced by its conjugacy-class representative, and the
+    weight multiset by the lexicographically least of its images under the
+    dual maps of ``SubgroupRef.canonical_maps``: transport by the least
+    conjugator followed by each element of the representative's normalizer.
+    Idempotent.
     """
-    H, transport = s.subgroup.to_representative
+    H, maps = s.subgroup.canonical_maps
     facs = H.structure.invariant_factors
-    beta = s.beta
-    if transport is not None:
-        beta = [apply_dual(transport, facs, b) for b in beta]
     best = min(
-        tuple(sorted(apply_dual(mat, facs, b) for b in beta))
-        for mat in H.character_actions
+        tuple(sorted(apply_dual(mat, facs, b) for b in s.beta)) for mat in maps
     )
     if best == s.beta and H is s.subgroup:
         return s

@@ -169,8 +169,8 @@ class SmithForm:
     """Smith divisors with the elimination that produced them: per unit
     pivot, in order, its column and the other entries ``(j, x)`` of its
     sign-normalised row; per residual column, in position order, its row
-    of the residual block's transform.  Reads as the pair ``(divisors, V)``,
-    with V built from the record on each access."""
+    of the residual block's transform.  V is built from the record by
+    ``transform``."""
 
     divisors: list[int]
     pivots: tuple
@@ -190,16 +190,6 @@ class SmithForm:
                 row = [y - x * v for y, v in zip(row, rows[j])]
             rows[c] = row
         return IntMatrix(tuple(map(tuple, rows)), n - first)
-
-    def __iter__(self):
-        yield self.divisors
-        yield self.transform()
-
-    def __getitem__(self, k):
-        return (lambda: self.divisors, self.transform)[k]()  # V only when asked
-
-    def __eq__(self, other):
-        return tuple(self) == other
 
 
 def smith_normal_form(M) -> SmithForm:

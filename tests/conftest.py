@@ -5,6 +5,7 @@ import importlib.util
 import itertools
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from burnside import (
     AbelianGroup,
     Atom,
     BnGPresentation,
+    ConstrA,
     FiniteGroup,
     IntMatrix,
     Symbol,
@@ -340,17 +342,20 @@ def generating_multisets(factors, size):
 
 
 def _moved_characters(G, src, dst, g, chars) -> list:
-    """Characters of ``dst = g src g^-1`` carried from ``chars`` on ``src``:
-    the character of dst whose value at x is the old one's at g^-1 x g,
-    found among all of dst's characters by comparing value tables."""
+    """Characters of ``dst``, a subgroup of ``g src g^-1``, carried from
+    ``chars`` on ``src``: the character of dst whose value at x is the old
+    one's at g^-1 x g, found among all of dst's characters by comparing
+    value tables.  Values are read as fractions of a turn, so that with g
+    the identity and dst a smaller subgroup of src this is restriction."""
     tab = G.cayley
     ginv = next(x for x in range(G.order) if tab[g][x] == G.identity)
     pulled = [tab[tab[ginv][x]][g] for x in dst.elements]
-    by_values = {
-        tuple(dst.char_value(c, x) for x in dst.elements): c
-        for c in dst.structure.elements()
-    }
-    return [by_values[tuple(src.char_value(b, y) for y in pulled)] for b in chars]
+
+    def turns(K, c, elems):
+        return tuple(Fraction(K.char_value(c, x), K.structure.exponent) for x in elems)
+
+    by_values = {turns(dst, c, dst.elements): c for c in dst.structure.elements()}
+    return [by_values[turns(src, b, pulled)] for b in chars]
 
 
 def canonicalize_reference(s):
@@ -414,6 +419,55 @@ def expand_prop46_reference(s, j) -> dict:
                 )
                 out[term] = out.get(term, 0) + 1
     return out
+
+
+def expand_b2_reference(s, i, j) -> tuple:
+    """``(raw_theta1, raw_theta2, vanished_by)`` of the two-term blow-up at
+    the weights a1 = beta[i], a2 = beta[j], from the formula: the terms
+    (a1, a2 - a1, rest) and (a2, a1 - a2, rest) unless a1 = a2; the joint
+    kernel of d = a1 - a2, found by evaluating d on every element, labelled
+    by d up to sign and carrying a2 and the rest restricted to it, unless a
+    weight lies in <d>; then why a part vanished, if one did."""
+    G, H, facs = s.group, s.subgroup, s.subgroup.structure.invariant_factors
+    a1, a2 = s.beta[i], s.beta[j]
+    rest = [b for k, b in enumerate(s.beta) if k not in (i, j)]
+
+    def sub(x, y):
+        return tuple((u - v) % n for u, v, n in zip(x, y, facs))
+
+    def symbol(subgroup, label, beta):
+        return Symbol(
+            group=G,
+            subgroup=subgroup,
+            field_label=label,
+            beta=tuple(beta),
+            ambient_n=s.ambient_n,
+        )
+
+    theta1 = ()
+    if a1 != a2:
+        theta1 = (
+            symbol(H, s.field_label, [a1, sub(a2, a1), *rest]),
+            symbol(H, s.field_label, [a2, sub(a1, a2), *rest]),
+        )
+    zero, d = sub(a1, a1), sub(a1, a2)
+    multiples = {tuple(k * x % n for x, n in zip(d, facs)) for k in range(max(facs))}
+    theta2 = ()
+    if not multiples.intersection(s.beta):
+        kernel = G.subgroup(h for h in H.elements if H.char_value(d, h) == 0)
+        label = ConstrA(base=s.field_label, chars=(min(d, sub(zero, d)),))
+        restricted = _moved_characters(G, H, kernel, G.identity, [a2, *rest])
+        theta2 = (symbol(kernel, label, restricted),)
+    inverse_pair = any(
+        sub(zero, b) in s.beta[:k] + s.beta[k + 1 :] for k, b in enumerate(s.beta)
+    )
+    if not theta1:
+        vanished = "equal_weights"
+    elif not theta2:
+        vanished = "coset_condition"
+    else:
+        vanished = "B1" if inverse_pair else "none"
+    return theta1, theta2, vanished
 
 
 @functools.cache

@@ -217,7 +217,8 @@ def test_criterion_7_smith_form_properties():
         M = IntMatrix.from_rows(
             [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         )
-        divisors, V = smith_normal_form(M)
+        F = smith_normal_form(M)
+        divisors, V = F.divisors, F.transform()
         if len(divisors) != n or abs(det(V)) != 1:
             ok = False
         # column k of M V lies in d_k Z, and is zero where d_k = 0

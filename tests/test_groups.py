@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import burnside.groups
 from burnside import (
     AbelianGroup,
     FiniteGroup,
@@ -93,9 +94,11 @@ class TestConstruction:
         with pytest.raises(InputError):
             FiniteGroup.from_permutations(2, [[0, 0]])
 
-    def test_size_bound(self):
+    def test_size_bound(self, monkeypatch):
+        # the bound is read when the closure runs: D8 has 8 elements
+        monkeypatch.setattr(burnside.groups, "MAX_GROUP_ORDER", 4)
         with pytest.raises(SizeError):
-            FiniteGroup.from_permutations(4, [[1, 2, 3, 0], [2, 1, 0, 3]], max_order=4)
+            FiniteGroup.from_permutations(4, [[1, 2, 3, 0], [2, 1, 0, 3]])
 
     def test_bad_cayley_tables(self):
         with pytest.raises(InputError):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -29,6 +30,7 @@ from conftest import (
     SYMBOL_ORACLE_GROUPS,
     dense_relation_rows,
     dense_rows,
+    expand_b2_reference,
     expand_prop46_reference,
     full_group_symbol,
     generating_multisets,
@@ -92,6 +94,16 @@ class TestExpandB2:
         for i, j in ((0, 0), (-1, 1), (0, 5)):
             with pytest.raises(InputError):
                 expand_b2(s, i, j)
+
+    @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
+    def test_matches_blowup_formula(self, name):
+        """The raw terms and the vanishing reason against the formula, on
+        every stratum at every ordered pair of positions."""
+        for s in stratum_symbols(SYMBOL_ORACLE_GROUPS[name]()):
+            for i, j in itertools.permutations(range(len(s.beta)), 2):
+                report = expand_b2(s, i, j)
+                got = (report.raw_theta1, report.raw_theta2, report.vanished_by)
+                assert got == expand_b2_reference(s, i, j), (s.to_json_obj(), i, j)
 
     def test_symmetric_in_the_two_positions(self):
         for beta in generating_multisets((4,), 2):

@@ -7,13 +7,12 @@ from burnside import (
     InvariantError,
     Symbol,
     SymbolSum,
+    apply_dual,
     canonicalize_symbol,
-    character_action,
     combine,
     conjugate_symbol,
     construction_a,
     restrict_character,
-    transport_characters,
 )
 from burnside.symbols import (
     field_from_json_obj,
@@ -22,6 +21,7 @@ from burnside.symbols import (
 )
 from conftest import (
     SYMBOL_ORACLE_GROUPS,
+    _moved_characters,
     canonicalize_reference,
     conjugate_by_scan,
     full_group_symbol,
@@ -188,33 +188,32 @@ class TestCachedSubgroupData:
     of the whole group on every abelian subgroup."""
 
     @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
-    def test_character_actions(self, name):
+    def test_canonical_maps(self, name):
+        """R is the least conjugate, a representative's first map is the
+        identity, and the maps, as functions on every character, are the
+        transport by a conjugator followed by each element of N(R)."""
         G = SYMBOL_ORACLE_GROUPS[name]()
         for elems in G._abelian_subgroups:
             H = G.subgroup(elems)
-            r = H.structure.rank
-            identity = tuple(tuple(int(i == k) for k in range(r)) for i in range(r))
-            assert H.character_actions[0] == identity
-            want = {
-                tuple(map(tuple, character_action(G, g, H)))
-                for g in normalizer_by_scan(G, elems)
-            }
-            assert len(H.character_actions) == len(want)
-            assert set(H.character_actions) == want
-
-    @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
-    def test_to_representative(self, name):
-        G = SYMBOL_ORACLE_GROUPS[name]()
-        for elems in G._abelian_subgroups:
-            H = G.subgroup(elems)
+            A = H.structure
             rep = min(conjugate_by_scan(G, g, elems) for g in range(G.order))
-            dst, mat = H.to_representative
-            assert dst.elements == rep
+            R, maps = H.canonical_maps
+            assert R.elements == rep
             if rep == elems:
-                assert dst is H and mat is None
-            else:
-                g = least_conjugator_by_scan(G, elems, rep)
-                assert mat == transport_characters(G, H, dst, g)
+                r = A.rank
+                assert maps[0] == tuple(
+                    tuple(int(i == k) for k in range(r)) for i in range(r)
+                )
+            chars = list(A.elements())
+            facs = R.structure.invariant_factors
+            got = [tuple(apply_dual(mat, facs, c) for c in chars) for mat in maps]
+            g = least_conjugator_by_scan(G, elems, rep)
+            moved = _moved_characters(G, H, R, g, chars)
+            want = {
+                tuple(_moved_characters(G, R, R, x, moved))
+                for x in normalizer_by_scan(G, rep)
+            }
+            assert len(got) == len(want) and set(got) == want, elems
 
     @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
     def test_canonical_form_matches_scan(self, name):
