@@ -69,7 +69,7 @@ class BnGPresentation:
 
     @cached_property
     def smith_form(self) -> SmithForm:
-        """Smith divisors, one per generator, and the recorded elimination."""
+        """Smith divisors, one per generator; V on the first transform."""
         return smith_normal_form(self.relation_matrix)
 
     @cached_property

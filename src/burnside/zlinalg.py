@@ -1,15 +1,16 @@
 """Exact linear algebra over the integers.
 
 Smith divisors of dense or sparse matrices in plain Python ints, so
-coefficient growth is harmless.  Unit pivots are recorded as substitutions,
-from which columns of the column transform are built on request.  Row
-lattices are compared through their Smith divisors alone.
+coefficient growth is harmless, by a fill-reducing order with no transform;
+columns of the transform are built on request from a separate elimination
+in the dense loop's order.  Row lattices are compared by divisors alone.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError
 
@@ -166,25 +167,28 @@ def _has_unit(row: dict) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SmithForm:
-    """Smith divisors with the elimination that produced them: per unit
-    pivot, in order, its column and the other entries ``(j, x)`` of its
-    sign-normalised row; per residual column, in position order, its row
-    of the residual block's transform.  V is built from the record by
-    ``transform``."""
+    """Smith divisors of ``matrix``.  V is built from the elimination in the
+    dense loop's order, run on the first ``transform`` and cached: per unit
+    pivot, its column and the other entries ``(j, x)`` of its sign-normalised
+    row; per residual column, its row of the residual block's transform."""
 
     divisors: list[int]
-    pivots: tuple
-    residual: tuple
+    matrix: SparseMatrix
+
+    @cached_property
+    def _record(self) -> tuple:
+        return _dense_order_elimination(self.matrix)
 
     def transform(self, first: int = 0) -> IntMatrix:
         """Columns ``first`` onward of V, by back-substitution over the
         pivots in reverse: row c of a pivot is its unit vector minus the sum
         of x times row j, and each such j is a later pivot or residual."""
-        n, t = len(self.divisors), len(self.pivots)
+        pivots, residual = self._record
+        n, t = len(self.divisors), len(pivots)
         rows = [None] * n
-        for j, w in self.residual:  # zero on the pivot columns
+        for j, w in residual:  # zero on the pivot columns
             rows[j] = [0] * (t - first) + list(w[max(first - t, 0):])
-        for s, (c, subst) in reversed(list(enumerate(self.pivots))):
+        for s, (c, subst) in reversed(list(enumerate(pivots))):
             row = [int(k == s - first) for k in range(n - first)]
             for j, x in subst:
                 row = [y - x * v for y, v in zip(row, rows[j])]
@@ -192,26 +196,78 @@ class SmithForm:
         return IntMatrix(tuple(map(tuple, rows)), n - first)
 
 
+def _index_rows(M) -> tuple[list[dict], list[set]]:
+    """Dict rows of a sparse matrix, and per column the rows held there."""
+    rows = [dict(row) for row in M.entries]
+    in_col = [set() for _ in range(M.num_cols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            in_col[j].add(i)
+    return rows, in_col
+
+
+def _eliminate(rows, in_col, p, c, heap, key) -> None:
+    """Sign-normalise row ``p`` at its unit in column ``c``, clear that
+    column from every other row, pushing ``(key(r), r)`` onto ``heap`` for
+    each row r that then holds a +-1, and take ``p`` out of the index."""
+    prow = rows[p] = {j: x * rows[p][c] for j, x in rows[p].items()}
+    for r in in_col[c] - {p}:
+        row, q = rows[r], rows[r][c]
+        for j, x in prow.items():
+            y = row.get(j, 0) - q * x
+            if y:
+                row[j] = y
+                in_col[j].add(r)
+            else:
+                del row[j]
+                in_col[j].discard(r)
+        if _has_unit(row):
+            heapq.heappush(heap, (key(r), r))
+    for j in prow:
+        in_col[j].discard(p)
+
+
 def smith_normal_form(M) -> SmithForm:
     """Smith form of a dense or sparse matrix ``M``: the divisors, one per
     column (``d_1 | d_2 | ...`` positive, then zeros for the free part),
     and a unimodular column transform ``V``, built only on request, such
     that the rows of ``M V`` span the multiples of ``divisors[k]`` in each
-    column ``k``.  No row transform is built.
-
-    Unit pivots go first, on sparse rows, in the dense loop's order (the
-    first row holding a +-1, at its first +-1) and with its swaps; they need
-    no division and no fold-in, so V is the dense loop's bit for bit.  Each
-    is recorded as a substitution, not applied to V.  The dense loop runs
-    only on the block left when no +-1 remains, with a transform over that
-    block's columns alone.
+    column ``k``.  The divisors take a fill-reducing order (after Markowitz)
+    and carry no transform: the pivot is the shortest row holding a +-1, at
+    its unit in the column with the fewest entries; the column is cleared
+    from the other rows, and the pivot row, left to column operations, is
+    dropped.  The dense loop runs on the rest, transposed if that makes it
+    tall.  No row transform is built.
     """
-    rows = [dict(row) for row in _sparse(M).entries]
+    M = _sparse(M)
+    rows, in_col = _index_rows(M)
+    # (length, row) per row holding a unit, sorted (a heap); stale ones skipped
+    heap = sorted((len(row), i) for i, row in enumerate(rows) if _has_unit(row))
+    units = 0
+    while heap:
+        size, p = heapq.heappop(heap)
+        if len(rows[p]) != size or not _has_unit(rows[p]):
+            continue
+        c = min((len(in_col[j]), j) for j, x in rows[p].items() if x in (1, -1))[1]
+        _eliminate(rows, in_col, p, c, heap, lambda r: len(rows[r]))
+        rows[p] = {}
+        units += 1
+    cols = [j for j, held in enumerate(in_col) if held]
+    a = [[row.get(j, 0) for j in cols] for row in rows if row]
+    if len(a) < len(cols):  # row operations are the cheaper ones
+        a = [list(col) for col in zip(*a)]
+    # an empty transform column per block column: V is not carried
+    divisors = [1] * units + _dense_smith(a, [[]] * (len(a[0]) if a else 0))
+    return SmithForm(divisors + [0] * (M.num_cols - len(divisors)), M)
+
+
+def _dense_order_elimination(M) -> tuple:
+    """``SmithForm``'s record for the dense loop's order and V bit for bit:
+    unit pivots first, on sparse rows, in that order (the first row holding
+    a +-1, at its first +-1) and with its swaps, needing no division and no
+    fold-in; then the dense loop on the block left, with its transform."""
+    rows, in_col = _index_rows(M)
     m, n = len(rows), M.num_cols
-    in_col = [set() for _ in range(n)]  # column -> the rows with an entry there
-    for i, row in enumerate(rows):
-        for j in row:
-            in_col[j].add(i)
     pivots = []
     row_at, row_pos = list(range(m)), list(range(m))
     col_at, col_pos = list(range(n)), list(range(n))
@@ -229,30 +285,14 @@ def smith_normal_form(M) -> SmithForm:
         col_at[t], col_at[cpos], col_pos[c], col_pos[c0] = c, c0, t, cpos
         if _has_unit(rows[r0]):
             heapq.heappush(heap, (pos, r0))
-        if prow[c] < 0:
-            rows[p] = prow = {j: -x for j, x in prow.items()}
-        for r in in_col[c] - {p}:
-            row, q = rows[r], rows[r][c]
-            for j, x in prow.items():
-                y = row.get(j, 0) - q * x
-                if y:
-                    row[j] = y
-                    in_col[j].add(r)
-                else:
-                    del row[j]
-                    in_col[j].discard(r)
-            if _has_unit(row):
-                heapq.heappush(heap, (row_pos[r], r))
-        for j in prow:
-            in_col[j].discard(p)
-        pivots.append((c, tuple((j, x) for j, x in prow.items() if j != c)))
+        _eliminate(rows, in_col, p, c, heap, row_pos.__getitem__)
+        pivots.append((c, tuple((j, x) for j, x in rows[p].items() if j != c)))
         t += 1
     # the block from position t on, and the columns of its transform
     a = [[rows[r].get(j, 0) for j in col_at[t:]] for r in row_at[t:]]
     w = [[int(i == j) for i in range(n - t)] for j in range(n - t)]
-    divisors = [1] * t + _dense_smith(a, w)
-    divisors += [0] * (n - len(divisors))
-    return SmithForm(divisors, tuple(pivots), tuple(zip(col_at[t:], zip(*w))))
+    _dense_smith(a, w)
+    return tuple(pivots), tuple(zip(col_at[t:], zip(*w)))
 
 
 def row_space_equal(M1, M2) -> bool:

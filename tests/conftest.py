@@ -136,6 +136,42 @@ def dense_smith_reference(M) -> tuple[list[int], IntMatrix]:
     return divisors, IntMatrix.from_rows(zip(*vcols), n)
 
 
+def rank_mod(M, p: int) -> int:
+    """Rank over F_p of a sparse matrix, by reducing each row's leading
+    entry against the pivot rows found so far, shortest rows first."""
+    pivots = {}  # leading column -> row with leading entry 1
+    for items in sorted(M.entries, key=len):
+        row = {j: x % p for j, x in items if x % p}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                inverse = pow(row[lead], -1, p)
+                pivots[lead] = {j: x * inverse % p for j, x in row.items()}
+                break
+            q = row[lead]
+            for j, x in pivots[lead].items():
+                y = (row.get(j, 0) - q * x) % p
+                if y:
+                    row[j] = y
+                else:
+                    row.pop(j, None)
+    return len(pivots)
+
+
+# A prime far above every maximal minor met in the tests, so that the rank
+# over F_q is the rank over Q
+LARGE_PRIME = (1 << 61) - 1
+
+
+def structure_by_ranks(M, primes) -> tuple[int, dict]:
+    """The free rank of Z^cols / rows of ``M``, and per prime p the number
+    of its Smith divisors divisible by p, from ranks over finite fields
+    alone: the free rank is cols - rank_Q, and the count at p is
+    rank_Q - rank_{F_p}, since reduction mod p kills exactly those."""
+    rank = rank_mod(M, LARGE_PRIME)
+    return M.num_cols - rank, {p: rank - rank_mod(M, p) for p in primes}
+
+
 def dense_relation_rows(P, j_max: int) -> IntMatrix:
     """The relation matrix of a presentation built as full-width rows,
     deduplicated and sorted as tuples: the library must match it."""

@@ -23,7 +23,7 @@ from burnside import (
     reduce_class,
     relation_rows,
 )
-from conftest import dense_rows, full_group_symbol
+from conftest import dense_rows, full_group_symbol, structure_by_ranks
 
 
 def totient(m: int) -> int:
@@ -156,6 +156,33 @@ class TestStructure:
         nonzero = [d for d in diagonal if d]
         want = (M.num_cols - len(nonzero), sorted(d for d in nonzero if d > 1))
         assert P.structure() == want
+
+
+class TestModPOracle:
+    """Structures against ranks over finite fields, which share no code
+    with the integer elimination."""
+
+    @pytest.mark.parametrize(
+        "factors,n",
+        [((5,), 2), ((7,), 2), ((11,), 2), ((13,), 2), ((17,), 3)],
+    )
+    def test_structure_matches_ranks(self, factors, n):
+        # every prime dividing a divisor, and the primes up to 7
+        P = BnGPresentation(AbelianGroup(factors), n)
+        free, torsion = P.structure()
+        primes = [
+            p
+            for p in range(2, max(torsion + [7]) + 1)
+            if totient(p) == p - 1 and (p <= 7 or any(d % p == 0 for d in torsion))
+        ]
+        want = {p: sum(1 for d in torsion if d % p == 0) for p in primes}
+        assert structure_by_ranks(P.relation_matrix, primes) == (free, want)
+
+    def test_b3_z20(self):
+        # the input that hung in the dense pivot order: 7 free, nine 2s
+        P = BnGPresentation(AbelianGroup((20,)), 3)
+        assert structure_by_ranks(P.relation_matrix, [2, 3, 5]) == (7, {2: 9, 3: 0, 5: 0})
+        assert P.structure() == (7, [2] * 9)
 
 
 class TestReduce:

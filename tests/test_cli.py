@@ -349,6 +349,27 @@ class TestOtherCommands:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["beta"] == [[1], [7]]
 
+    @pytest.mark.parametrize(
+        "command,want",
+        [
+            ("bng-structure", {"free_rank": 7, "torsion": [2] * 9}),
+            ("verify-prop71", {"row_spaces_equal": True}),
+        ],
+    )
+    def test_b3_z20_answers(self, command, want):
+        # 1,304 generators, inside the size bound: in the dense loop's pivot
+        # order both commands ran past 300 s and 500 MiB, and the timeout
+        # catches a return of that order to structure queries
+        group = '{"invariant_factors":[20]}'
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", command, "--group", group, "--n", "3"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want
+
     def test_canon_on_s6_table(self, capsys):
         # the table path checks associativity by Light's test, not by all
         # 720^3 triples

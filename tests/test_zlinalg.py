@@ -13,6 +13,7 @@ from burnside import (
     IntMatrix,
     cli,
     det,
+    reduce_class,
     relation_rows,
     row_space_equal,
     smith_normal_form,
@@ -142,9 +143,11 @@ class TestSparseUnitPivots:
             assert (F.divisors, F.transform()) == want, (P.A, P.n, j)
 
     def test_dense_loop_sees_only_the_residual(self, monkeypatch):
-        # B_2(Z/23): 264 x 275, of which 250 unit pivots go sparse and leave
-        # a 14 x 25 block; the dense row and column operations act on that
-        # block and on its 25 columns of V, never on the full matrix
+        # B_2(Z/23), 264 x 275: for the divisors, 251 unit pivots in the
+        # fill-reducing order leave a 1 x 6 block, run as 6 x 1 with no
+        # transform; for V, 250 unit pivots in the dense order leave a
+        # 14 x 25 block and its 25 columns of V.  The dense row and column
+        # operations act on those alone, never on the full matrix
         touched = []
 
         def spy(op):
@@ -160,15 +163,18 @@ class TestSparseUnitPivots:
             )
         M = BnGPresentation(AbelianGroup((23,)), 2).relation_matrix
         assert (M.num_rows, M.num_cols) == (264, 275)
-        divisors = smith_normal_form(M).divisors
-        assert (divisors.count(0), [d for d in divisors if d > 1]) == (23, [22])
-        assert touched
-        for name, rows, width in touched:
-            if name in ("_swap_cols", "_add_col"):
-                assert rows <= 14 and width <= 25, (name, rows, width)
-            else:
-                # a row operation on the block or a V-column operation
-                assert rows <= 25, (name, rows, width)
+        F = smith_normal_form(M)
+        assert (F.divisors.count(0), [d for d in F.divisors if d > 1]) == (23, [22])
+        divisors_only, touched[:] = list(touched), []
+        F.transform()
+        for ops, (rows, cols) in ((divisors_only, (6, 1)), (touched, (14, 25))):
+            assert ops
+            for name, height, width in ops:
+                if name in ("_swap_cols", "_add_col"):
+                    assert height <= rows and width <= cols, (name, height, width)
+                else:
+                    # a row operation on the block or a V-column operation
+                    assert height <= max(rows, cols), (name, height, width)
 
 
 class TestNormalFormMap:
@@ -196,10 +202,12 @@ class TestNormalFormMap:
         assert (divisors, nf_map) == reference_map(P.relation_matrix)
 
     def test_structure_queries_build_no_transform(self, monkeypatch, capsys):
-        def refuse(self, first=0):
+        # neither V nor the dense-order elimination it is built from
+        def refuse(*args, **kwargs):
             raise AssertionError("column transform built for a structure query")
 
         monkeypatch.setattr(burnside.zlinalg.SmithForm, "transform", refuse)
+        monkeypatch.setattr(burnside.zlinalg, "_dense_order_elimination", refuse)
         assert BnGPresentation(AbelianGroup((23,)), 2).structure() == (23, [22])
         for argv, out in (
             (["bng-structure", "--group", '{"invariant_factors":[23]}', "--n", "2"],
@@ -211,6 +219,25 @@ class TestNormalFormMap:
         ):
             assert cli.run(argv) == 0
             assert capsys.readouterr().out == out
+
+
+    def test_reduce_class_replays_the_dense_order_once(self, monkeypatch):
+        calls = []
+        original = burnside.zlinalg._dense_order_elimination
+
+        def counting(M):
+            calls.append(M.num_rows)
+            return original(M)
+
+        monkeypatch.setattr(burnside.zlinalg, "_dense_order_elimination", counting)
+        P = BnGPresentation(AbelianGroup((23,)), 2)
+        assert P.structure() == (23, [22]) and calls == []
+        for gen in P.generators[:5]:
+            reduce_class(P, {gen: 1})
+        assert P.snf_data == reference_map(P.relation_matrix)
+        F = P.smith_form
+        assert F.transform() == F.transform() == dense_smith_reference(F.matrix)[1]
+        assert calls == [264]
 
 
 class TestCokernel:
