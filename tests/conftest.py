@@ -158,8 +158,8 @@ def rank_mod(M, p: int) -> int:
     return len(pivots)
 
 
-# A prime far above every maximal minor met in the tests, so that the rank
-# over F_q is the rank over Q
+# The rank over F_q of an integer matrix is its rank over Q unless q divides
+# one of its Smith divisors, and the divisors met here are far below this q
 LARGE_PRIME = (1 << 61) - 1
 
 
