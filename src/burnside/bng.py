@@ -2,9 +2,11 @@
 
 Generators are size-``n`` multisets of characters generating the group
 (zero entries allowed); the presentation uses the two-position relation
-rows, kept sparse, which suffice.  The structure reads Smith divisors alone;
-classes get a unique normal form from the n x r map of the columns of V
-whose divisor is not 1, so equality is a tuple comparison.
+rows, kept sparse, which suffice.  One Smith elimination serves both
+queries: the structure reads its divisors alone, and classes get a unique
+normal form from the n x r map of the columns of V whose divisor is not 1,
+built from that elimination's record with nothing replayed, so equality
+is a tuple comparison.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class BnGPresentation:
 
     @cached_property
     def smith_form(self) -> SmithForm:
-        """Smith divisors, one per generator; V on the first transform."""
+        """Smith divisors, one per generator, and the record V is built from."""
         return smith_normal_form(self.relation_matrix)
 
     @cached_property

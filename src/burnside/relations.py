@@ -165,13 +165,6 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     return SymbolSum(out, _canonical=True)
 
 
-def _dense_order(items, n: int) -> tuple:
-    """Sort key of a sparse row on ``n`` columns that orders rows as their
-    dense tuples: at the first differing item, an entry at an earlier column
-    is larger when positive; (0, 0) stands for the zeros after the last."""
-    return (*((n - c, v) if v > 0 else (c - n, v) for c, v in items), (0, 0))
-
-
 def relation_rows(P, j_max: int) -> SparseMatrix:
     """Sparse relation matrix over the generators of a tuple-group presentation.
 
@@ -179,7 +172,7 @@ def relation_rows(P, j_max: int) -> SparseMatrix:
     their index.  One deduplicated row per generator, ``j <= j_max`` and
     choice of ``j`` positions: the generator minus the sum of its
     transformed tuples, with coordinates indexed by ``P.generator_index``.
-    Rows come in the order their dense tuples sort in.
+    Rows are sorted as tuples of ``(column, value)`` items.
     """
     A, n = P.A, P.n
     if not (2 <= j_max <= n):
@@ -208,5 +201,4 @@ def relation_rows(P, j_max: int) -> SparseMatrix:
                 items = tuple(sorted((c, v) for c, v in row.items() if v))
                 if items:
                     rows.add(items)
-    N = len(gens)
-    return SparseMatrix(tuple(sorted(rows, key=lambda r: _dense_order(r, N))), N)
+    return SparseMatrix(tuple(sorted(rows)), len(gens))

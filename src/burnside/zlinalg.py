@@ -1,16 +1,17 @@
 """Exact linear algebra over the integers.
 
 Smith divisors of dense or sparse matrices in plain Python ints, so
-coefficient growth is harmless, by a fill-reducing order with no transform;
-columns of the transform are built on request from a separate elimination
-in the dense loop's order.  Row lattices are compared by divisors alone.
+coefficient growth is harmless, by unit pivots in a fill-reducing order and
+a dense loop on the block left, with no transform.  Columns of the transform
+are built on request from the pivots and the block that elimination
+recorded; nothing is eliminated twice.  Row lattices are compared by
+divisors alone.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import InputError
 
@@ -167,28 +168,29 @@ def _has_unit(row: dict) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SmithForm:
-    """Smith divisors of ``matrix``.  V is built from the elimination in the
-    dense loop's order, run on the first ``transform`` and cached: per unit
-    pivot, its column and the other entries ``(j, x)`` of its sign-normalised
-    row; per residual column, its row of the residual block's transform."""
+    """Smith divisors, and what V is built from on request: per unit pivot,
+    in elimination order, its column and the other entries ``(j, x)`` of its
+    sign-normalised row; then the non-pivot columns and the sparse rows of
+    the residual block on them."""
 
     divisors: list[int]
-    matrix: SparseMatrix
-
-    @cached_property
-    def _record(self) -> tuple:
-        return _dense_order_elimination(self.matrix)
+    pivots: tuple
+    residual: tuple
 
     def transform(self, first: int = 0) -> IntMatrix:
-        """Columns ``first`` onward of V, by back-substitution over the
+        """Columns ``first`` onward of V.  The residual block runs through
+        the dense loop with its transform; then back-substitution over the
         pivots in reverse: row c of a pivot is its unit vector minus the sum
         of x times row j, and each such j is a later pivot or residual."""
-        pivots, residual = self._record
-        n, t = len(self.divisors), len(pivots)
+        cols, block = self.residual
+        a = [[row.get(j, 0) for j in cols] for row in block]
+        w = [[int(i == j) for i in range(len(cols))] for j in range(len(cols))]
+        _dense_smith(a, w)
+        n, t = len(self.divisors), len(self.pivots)
         rows = [None] * n
-        for j, w in residual:  # zero on the pivot columns
-            rows[j] = [0] * (t - first) + list(w[max(first - t, 0):])
-        for s, (c, subst) in reversed(list(enumerate(pivots))):
+        for j, v in zip(cols, zip(*w)):  # zero on the pivot columns
+            rows[j] = [0] * (t - first) + list(v[max(first - t, 0):])
+        for s, (c, subst) in reversed(list(enumerate(self.pivots))):
             row = [int(k == s - first) for k in range(n - first)]
             for j, x in subst:
                 row = [y - x * v for y, v in zip(row, rows[j])]
@@ -196,19 +198,9 @@ class SmithForm:
         return IntMatrix(tuple(map(tuple, rows)), n - first)
 
 
-def _index_rows(M) -> tuple[list[dict], list[set]]:
-    """Dict rows of a sparse matrix, and per column the rows held there."""
-    rows = [dict(row) for row in M.entries]
-    in_col = [set() for _ in range(M.num_cols)]
-    for i, row in enumerate(rows):
-        for j in row:
-            in_col[j].add(i)
-    return rows, in_col
-
-
-def _eliminate(rows, in_col, p, c, heap, key) -> None:
+def _eliminate(rows, in_col, p, c, heap) -> None:
     """Sign-normalise row ``p`` at its unit in column ``c``, clear that
-    column from every other row, pushing ``(key(r), r)`` onto ``heap`` for
+    column from every other row, pushing ``(length, r)`` onto ``heap`` for
     each row r that then holds a +-1, and take ``p`` out of the index."""
     prow = rows[p] = {j: x * rows[p][c] for j, x in rows[p].items()}
     for r in in_col[c] - {p}:
@@ -222,7 +214,7 @@ def _eliminate(rows, in_col, p, c, heap, key) -> None:
                 del row[j]
                 in_col[j].discard(r)
         if _has_unit(row):
-            heapq.heappush(heap, (key(r), r))
+            heapq.heappush(heap, (len(row), r))
     for j in prow:
         in_col[j].discard(p)
 
@@ -232,67 +224,41 @@ def smith_normal_form(M) -> SmithForm:
     column (``d_1 | d_2 | ...`` positive, then zeros for the free part),
     and a unimodular column transform ``V``, built only on request, such
     that the rows of ``M V`` span the multiples of ``divisors[k]`` in each
-    column ``k``.  The divisors take a fill-reducing order (after Markowitz)
-    and carry no transform: the pivot is the shortest row holding a +-1, at
-    its unit in the column with the fewest entries; the column is cleared
-    from the other rows, and the pivot row, left to column operations, is
-    dropped.  The dense loop runs on the rest, transposed if that makes it
-    tall.  No row transform is built.
+    column ``k``.  Unit pivots take a fill-reducing order (after Markowitz):
+    the pivot is the shortest row holding a +-1, at its unit in the column
+    with the fewest entries; the column is cleared from the other rows, and
+    the pivot row, left to column operations, is recorded and dropped.  For
+    the divisors the dense loop runs on the rest with no transform,
+    transposed if that makes it tall.  No row transform is built.
     """
     M = _sparse(M)
-    rows, in_col = _index_rows(M)
+    rows = [dict(row) for row in M.entries]
+    in_col = [set() for _ in range(M.num_cols)]  # the rows held per column
+    for i, row in enumerate(rows):
+        for j in row:
+            in_col[j].add(i)
     # (length, row) per row holding a unit, sorted (a heap); stale ones skipped
     heap = sorted((len(row), i) for i, row in enumerate(rows) if _has_unit(row))
-    units = 0
+    pivots = []
     while heap:
         size, p = heapq.heappop(heap)
         if len(rows[p]) != size or not _has_unit(rows[p]):
             continue
         c = min((len(in_col[j]), j) for j, x in rows[p].items() if x in (1, -1))[1]
-        _eliminate(rows, in_col, p, c, heap, lambda r: len(rows[r]))
+        _eliminate(rows, in_col, p, c, heap)
+        pivots.append((c, tuple((j, x) for j, x in rows[p].items() if j != c)))
         rows[p] = {}
-        units += 1
+    block = tuple(row for row in rows if row)
+    pivoted = {c for c, _ in pivots}
+    residual = (tuple(j for j in range(M.num_cols) if j not in pivoted), block)
     cols = [j for j, held in enumerate(in_col) if held]
-    a = [[row.get(j, 0) for j in cols] for row in rows if row]
+    a = [[row.get(j, 0) for j in cols] for row in block]
     if len(a) < len(cols):  # row operations are the cheaper ones
         a = [list(col) for col in zip(*a)]
     # an empty transform column per block column: V is not carried
-    divisors = [1] * units + _dense_smith(a, [[]] * (len(a[0]) if a else 0))
-    return SmithForm(divisors + [0] * (M.num_cols - len(divisors)), M)
-
-
-def _dense_order_elimination(M) -> tuple:
-    """``SmithForm``'s record for the dense loop's order and V bit for bit:
-    unit pivots first, on sparse rows, in that order (the first row holding
-    a +-1, at its first +-1) and with its swaps, needing no division and no
-    fold-in; then the dense loop on the block left, with its transform."""
-    rows, in_col = _index_rows(M)
-    m, n = len(rows), M.num_cols
-    pivots = []
-    row_at, row_pos = list(range(m)), list(range(m))
-    col_at, col_pos = list(range(n)), list(range(n))
-    # (position, row) for rows holding a unit; stale entries are skipped
-    heap = [(i, i) for i in range(m) if _has_unit(rows[i])]
-    t = 0
-    while heap:
-        pos, p = heapq.heappop(heap)
-        prow = rows[p]
-        if pos < t or row_pos[p] != pos or not _has_unit(prow):
-            continue
-        c = min((j for j, x in prow.items() if x in (1, -1)), key=col_pos.__getitem__)
-        r0, c0, cpos = row_at[t], col_at[t], col_pos[c]
-        row_at[t], row_at[pos], row_pos[p], row_pos[r0] = p, r0, t, pos
-        col_at[t], col_at[cpos], col_pos[c], col_pos[c0] = c, c0, t, cpos
-        if _has_unit(rows[r0]):
-            heapq.heappush(heap, (pos, r0))
-        _eliminate(rows, in_col, p, c, heap, row_pos.__getitem__)
-        pivots.append((c, tuple((j, x) for j, x in rows[p].items() if j != c)))
-        t += 1
-    # the block from position t on, and the columns of its transform
-    a = [[rows[r].get(j, 0) for j in col_at[t:]] for r in row_at[t:]]
-    w = [[int(i == j) for i in range(n - t)] for j in range(n - t)]
-    _dense_smith(a, w)
-    return tuple(pivots), tuple(zip(col_at[t:], zip(*w)))
+    divisors = [1] * len(pivots) + _dense_smith(a, [[]] * (len(a[0]) if a else 0))
+    divisors += [0] * (M.num_cols - len(divisors))
+    return SmithForm(divisors, tuple(pivots), residual)
 
 
 def row_space_equal(M1, M2) -> bool:

@@ -61,16 +61,15 @@ def minor_gcd(M, k: int) -> int:
     return g
 
 
-def dense_smith_reference(M) -> tuple[list[int], IntMatrix]:
-    """``(divisors, V)`` from the dense pivot loop alone, on full-width rows.
+def dense_smith_reference(M) -> list[int]:
+    """Smith divisors from the dense pivot loop alone, on full-width rows.
 
     Every step scans for the first pivot of least absolute value, clears
-    its row and column, and folds in a row the pivot does not divide; V
-    takes every column operation.  The library must match it bit for bit.
+    its row and column, and folds in a row the pivot does not divide.  The
+    library's divisors must match it.
     """
     m, n = M.num_rows, M.num_cols
     a = dense_rows(M)
-    vcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
     def add_row(rows, dst, src, q):
         rows[dst] = [x - q * y for x, y in zip(rows[dst], rows[src])]
@@ -100,7 +99,6 @@ def dense_smith_reference(M) -> tuple[list[int], IntMatrix]:
             break
         swap(a, t, piv[0])
         swap_cols(a, t, piv[1])
-        swap(vcols, t, piv[1])
         while True:
             if a[t][t] < 0:
                 a[t] = [-x for x in a[t]]
@@ -115,12 +113,9 @@ def dense_smith_reference(M) -> tuple[list[int], IntMatrix]:
                 continue
             for c in range(n):
                 if c != t and a[t][c]:
-                    q = a[t][c] // a[t][t]
-                    add_col(a, c, t, q)
-                    add_row(vcols, c, t, q)
+                    add_col(a, c, t, a[t][c] // a[t][t])
                     if a[t][c]:
                         swap_cols(a, t, c)
-                        swap(vcols, t, c)
                         dirty = True
             if dirty:
                 continue
@@ -132,8 +127,35 @@ def dense_smith_reference(M) -> tuple[list[int], IntMatrix]:
             else:
                 break
         t += 1
-    divisors = [a[k][k] for k in range(t)] + [0] * (n - t)
-    return divisors, IntMatrix.from_rows(zip(*vcols), n)
+    return [a[k][k] for k in range(t)] + [0] * (n - t)
+
+
+def abs_det(M) -> int:
+    """|det| of a square integer matrix by unimodular row steps on sparse
+    rows: per column, the rows holding it are reduced by the one of least
+    absolute entry there until one is left, whose entry is a factor."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in dense_rows(M)]
+    out = 1
+    for k in range(M.num_cols):
+        live = [row for row in rows if k in row]
+        while len(live) > 1:
+            p = min(live, key=lambda row: abs(row[k]))
+            for row in live:
+                if row is p:
+                    continue
+                q = row[k] // p[k]
+                for j, x in p.items():
+                    y = row.get(j, 0) - q * x
+                    if y:
+                        row[j] = y
+                    else:
+                        row.pop(j, None)
+            live = [row for row in live if k in row]
+        if not live:
+            return 0
+        out *= abs(live[0][k])
+        rows = [row for row in rows if row is not live[0]]
+    return out
 
 
 def rank_mod(M, p: int) -> int:

@@ -354,15 +354,24 @@ class TestOtherCommands:
         [
             ("bng-structure", {"free_rank": 7, "torsion": [2] * 9}),
             ("verify-prop71", {"row_spaces_equal": True}),
+            # (1, 1, 1) is zero in B_3(Z/20), so its coordinates are zeros
+            # in every basis: adding its unit row changes no rank over F_2 or
+            # over a large prime
+            ("bng-reduce", {"normal_form": {"free": [0] * 7, "torsion": [0] * 9}}),
+            ("bng-equal", {"equal": True}),
         ],
     )
     def test_b3_z20_answers(self, command, want):
         # 1,304 generators, inside the size bound: in the dense loop's pivot
-        # order both commands ran past 300 s and 500 MiB, and the timeout
-        # catches a return of that order to structure queries
+        # order the structure queries ran past 300 s and 500 MiB, and a
+        # class query replaying that order past 13 minutes; the timeout
+        # catches a return of that order
+        gen = "[[1],[1],[1]]"
+        args = {"bng-reduce": ["--class", gen], "bng-equal": ["--x", gen, "--y", gen]}
         group = '{"invariant_factors":[20]}'
         proc = subprocess.run(
-            [sys.executable, "-m", "burnside.cli", command, "--group", group, "--n", "3"],
+            [sys.executable, "-m", "burnside.cli", command, "--group", group, "--n", "3",
+             *args.get(command, [])],
             capture_output=True,
             text=True,
             timeout=60,

@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -23,9 +22,7 @@ from burnside.relations import (
     VANISHED_COSET,
     VANISHED_EQUAL_WEIGHTS,
     VANISHED_NONE,
-    _dense_order,
 )
-from burnside.zlinalg import SparseMatrix
 from conftest import (
     SYMBOL_ORACLE_GROUPS,
     dense_relation_rows,
@@ -206,37 +203,25 @@ class TestRelationRows:
         ]
 
     def test_rows_are_sorted_and_deduplicated(self):
+        # sorted as tuples of (column, value) items, not as dense tuples
         M = relation_rows(BnGPresentation(AbelianGroup((5,)), 3), 2)
+        assert list(M.entries) == sorted(M.entries)
         rows = dense_rows(M)
-        assert rows == sorted(rows)
         assert len(rows) == len({tuple(r) for r in rows})
         assert all(any(r) for r in rows)
 
     def test_matches_dense_oracle_on_table(self):
-        # sparse rows, deduplicated and ordered as their dense tuples
+        # sparse rows, deduplicated; their order is not compared
         for P, j in table_presentations():
             M = relation_rows(P, j)
-            dense = IntMatrix.from_rows(dense_rows(M), M.num_cols)
+            dense = IntMatrix.from_rows(sorted(dense_rows(M)), M.num_cols)
             assert dense == dense_relation_rows(P, j), (P.A, P.n, j)
 
     def test_matches_dense_oracle_b2_z29(self):
         P = BnGPresentation(AbelianGroup((29,)), 2)
         M = relation_rows(P, 2)
         assert (M.num_rows, M.num_cols) == (420, 434)
-        assert dense_rows(M) == dense_relation_rows(P, 2).to_lists()
-
-    def test_sparse_order_is_dense_tuple_order(self):
-        rng = random.Random(20261019)
-        for _ in range(300):
-            n = rng.randint(1, 7)
-            values = (1, -1, 2, -2)
-            rows = {
-                tuple((j, rng.choice(values)) for j in sorted(rng.sample(range(n), k)))
-                for k in (rng.randint(1, n) for _ in range(rng.randint(0, 12)))
-            }
-            by_key = sorted(rows, key=lambda r: _dense_order(r, n))
-            ordered = SparseMatrix(tuple(by_key), n)
-            assert dense_rows(ordered) == sorted(dense_rows(SparseMatrix(tuple(rows), n)))
+        assert sorted(dense_rows(M)) == dense_relation_rows(P, 2).to_lists()
 
     def test_j_max_validation(self):
         A = AbelianGroup((3,))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import burnside.bng
 import burnside.zlinalg
 from burnside import (
     AbelianGroup,
@@ -19,26 +20,43 @@ from burnside import (
     smith_normal_form,
 )
 from conftest import (
+    abs_det,
+    dense_rows,
     dense_smith_reference,
     laplace_det,
-    matmul,
     minor_gcd,
     table_presentations,
 )
 
 
+def certify(M, F) -> IntMatrix:
+    """Certify the Smith form ``F`` of ``M`` without a row transform and
+    return its V: V is unimodular, column k of M V lies in d_k Z, and the
+    divisors are the dense reference's."""
+    V = F.transform()
+    assert F.divisors == dense_smith_reference(M)
+    assert abs_det(V) == 1
+    for row in dense_rows(M):
+        image = [0] * M.num_cols  # the row times V
+        for j, x in enumerate(row):
+            if x:
+                image = [y + x * v for y, v in zip(image, V.entries[j])]
+        for y, d in zip(image, F.divisors):
+            assert y == 0 if d == 0 else y % d == 0
+    return V
+
+
+def columns_from(V: IntMatrix, first: int) -> IntMatrix:
+    return IntMatrix(tuple(row[first:] for row in V.entries), V.num_cols - first)
+
+
 def check_snf(M):
-    """Certify ``(divisors, V)`` without a row transform: V is unimodular,
-    column k of M V lies in d_k Z, and the running products of the
-    divisors are the minor gcds of M.  Together these pin the row lattice
-    of M V to the sum of the d_k Z."""
+    """Certify ``(divisors, V)``, and check that the running products of
+    the divisors are the minor gcds of M.  Together these pin the row
+    lattice of M V to the sum of the d_k Z."""
     F = smith_normal_form(M)
-    divisors, V = F.divisors, F.transform()
+    divisors, V = F.divisors, certify(M, F)
     assert len(divisors) == M.num_cols
-    assert abs(det(V)) == 1
-    for row in matmul(M.to_lists(), V.to_lists()):
-        for x, d in zip(row, divisors):
-            assert x == 0 if d == 0 else x % d == 0
     # positive, divisibility chain, zeros trailing
     rank = sum(1 for d in divisors if d)
     assert all(d > 0 for d in divisors[:rank])
@@ -117,37 +135,25 @@ def _random_matrices():
         )
 
 
-def reference_map(M):
-    """The divisors other than 1 and the matching columns of the dense
-    reference's V."""
-    divisors, V = dense_smith_reference(M)
-    units = divisors.count(1)
-    kept = tuple(row[units:] for row in V.entries)
-    return divisors[units:], IntMatrix(kept, len(divisors) - units)
-
-
 class TestSparseUnitPivots:
-    """The sparse unit-pivot phase replays the dense loop: same divisors,
-    same V, bit for bit."""
+    """The divisors match the dense reference, and V, built from the records
+    of the same fill-reducing elimination, passes the certificate."""
 
     def test_matches_dense_reference_random(self):
         for M in _random_matrices():
-            F = smith_normal_form(M)
-            assert (F.divisors, F.transform()) == dense_smith_reference(M), M
+            certify(M, smith_normal_form(M))
 
     def test_matches_dense_reference_on_relation_matrices(self):
         for P, j in table_presentations():
             M = relation_rows(P, j)
-            F = smith_normal_form(M)
-            want = dense_smith_reference(M)
-            assert (F.divisors, F.transform()) == want, (P.A, P.n, j)
+            certify(M, smith_normal_form(M))
 
     def test_dense_loop_sees_only_the_residual(self, monkeypatch):
-        # B_2(Z/23), 264 x 275: for the divisors, 251 unit pivots in the
-        # fill-reducing order leave a 1 x 6 block, run as 6 x 1 with no
-        # transform; for V, 250 unit pivots in the dense order leave a
-        # 14 x 25 block and its 25 columns of V.  The dense row and column
-        # operations act on those alone, never on the full matrix
+        # B_2(Z/23), 264 x 275: 250 unit pivots in the fill-reducing order
+        # leave 3 rows on 25 columns.  For the divisors, the 3 x 24 block on
+        # the columns still held runs as 24 x 3 with no transform; for V,
+        # the 3 x 25 block runs with its 25 columns of V.  The dense row and
+        # column operations act on those alone, never on the full matrix
         touched = []
 
         def spy(op):
@@ -165,9 +171,10 @@ class TestSparseUnitPivots:
         assert (M.num_rows, M.num_cols) == (264, 275)
         F = smith_normal_form(M)
         assert (F.divisors.count(0), [d for d in F.divisors if d > 1]) == (23, [22])
+        assert (len(F.pivots), len(F.residual[0]), len(F.residual[1])) == (250, 25, 3)
         divisors_only, touched[:] = list(touched), []
         F.transform()
-        for ops, (rows, cols) in ((divisors_only, (6, 1)), (touched, (14, 25))):
+        for ops, (rows, cols) in ((divisors_only, (24, 3)), (touched, (3, 25))):
             assert ops
             for name, height, width in ops:
                 if name in ("_swap_cols", "_add_col"):
@@ -178,36 +185,39 @@ class TestSparseUnitPivots:
 
 
 class TestNormalFormMap:
-    """Columns of V built from the recorded elimination on request."""
+    """The n x r map: the columns of V past the units, built on request
+    from the records of the one elimination."""
 
     def test_map_matches_reference_random(self):
         for M in _random_matrices():
             F = smith_normal_form(M)
             units = F.divisors.count(1)
-            assert (F.divisors[units:], F.transform(units)) == reference_map(M), M
+            assert F.divisors[units:] == dense_smith_reference(M)[units:], M
+            assert F.transform(units) == columns_from(F.transform(), units), M
 
     def test_map_matches_reference_on_relation_matrices(self):
         for P, j in table_presentations():
             M = relation_rows(P, j)
             F = smith_normal_form(M)
             units = F.divisors.count(1)
-            assert (F.divisors[units:], F.transform(units)) == reference_map(M)
+            nf_map = columns_from(F.transform(), units)
+            assert F.transform(units) == nf_map, (P.A, P.n, j)
             if j == 2:
-                assert P.snf_data == reference_map(M), (P.A, P.n)
+                assert P.snf_data == (F.divisors[units:], nf_map), (P.A, P.n)
 
     def test_map_matches_reference_b2_z29(self):
         P = BnGPresentation(AbelianGroup((29,)), 2)
         divisors, nf_map = P.snf_data
         assert (nf_map.num_rows, nf_map.num_cols) == (434, 37)
-        assert (divisors, nf_map) == reference_map(P.relation_matrix)
+        V = certify(P.relation_matrix, P.smith_form)
+        assert nf_map == columns_from(V, 434 - 37)
+        assert divisors == P.smith_form.divisors[434 - 37 :]
 
     def test_structure_queries_build_no_transform(self, monkeypatch, capsys):
-        # neither V nor the dense-order elimination it is built from
         def refuse(*args, **kwargs):
             raise AssertionError("column transform built for a structure query")
 
         monkeypatch.setattr(burnside.zlinalg.SmithForm, "transform", refuse)
-        monkeypatch.setattr(burnside.zlinalg, "_dense_order_elimination", refuse)
         assert BnGPresentation(AbelianGroup((23,)), 2).structure() == (23, [22])
         for argv, out in (
             (["bng-structure", "--group", '{"invariant_factors":[23]}', "--n", "2"],
@@ -220,24 +230,27 @@ class TestNormalFormMap:
             assert cli.run(argv) == 0
             assert capsys.readouterr().out == out
 
-
-    def test_reduce_class_replays_the_dense_order_once(self, monkeypatch):
+    def test_structure_and_reduce_class_run_one_smith_form(self, monkeypatch):
+        # one elimination serves the divisors and V; V is built once
         calls = []
-        original = burnside.zlinalg._dense_order_elimination
+        smith = burnside.bng.smith_normal_form
+        transform = burnside.zlinalg.SmithForm.transform
 
-        def counting(M):
-            calls.append(M.num_rows)
-            return original(M)
+        def counting_smith(M):
+            calls.append("smith_normal_form")
+            return smith(M)
 
-        monkeypatch.setattr(burnside.zlinalg, "_dense_order_elimination", counting)
+        def counting_transform(F, first=0):
+            calls.append("transform")
+            return transform(F, first)
+
+        monkeypatch.setattr(burnside.bng, "smith_normal_form", counting_smith)
+        monkeypatch.setattr(burnside.zlinalg.SmithForm, "transform", counting_transform)
         P = BnGPresentation(AbelianGroup((23,)), 2)
-        assert P.structure() == (23, [22]) and calls == []
+        assert P.structure() == (23, [22])
         for gen in P.generators[:5]:
             reduce_class(P, {gen: 1})
-        assert P.snf_data == reference_map(P.relation_matrix)
-        F = P.smith_form
-        assert F.transform() == F.transform() == dense_smith_reference(F.matrix)[1]
-        assert calls == [264]
+        assert calls == ["smith_normal_form", "transform"]
 
 
 class TestCokernel:
@@ -354,6 +367,7 @@ class TestDet:
             n = rng.randint(0, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert det(IntMatrix.from_rows(rows, n)) == laplace_det(rows)
+            assert abs_det(IntMatrix.from_rows(rows, n)) == abs(laplace_det(rows))
 
     def test_big_entries_exact(self):
         # arbitrary precision: no overflow on large intermediate values
