@@ -50,8 +50,7 @@ from .symbols import (
     restrict_character,
 )
 from .zlinalg import (
-    IntMatrix,
-    det,
+    SparseMatrix,
     row_space_equal,
     smith_normal_form,
 )
@@ -67,11 +66,11 @@ __all__ = [
     "ExpansionReport",
     "FiniteGroup",
     "InputError",
-    "IntMatrix",
     "InvariantError",
     "PreconditionError",
     "ProvenanceError",
     "SizeError",
+    "SparseMatrix",
     "SubgroupRef",
     "Symbol",
     "SymbolSum",
@@ -82,7 +81,6 @@ __all__ = [
     "combine",
     "conjugate_symbol",
     "construction_a",
-    "det",
     "enumerate_generators",
     "equal_classes",
     "expand_b2",

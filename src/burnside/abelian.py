@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError, InvariantError, PreconditionError, SizeError
 from .errors import is_int_rows, load_json
-from .zlinalg import IntMatrix, det
+from .zlinalg import SparseMatrix, smith_normal_form
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup, SubgroupRef
@@ -106,7 +106,7 @@ class AbelianGroup:
         """(p, dim A/pA) for each prime p dividing the exponent."""
         e, facs = self.exponent, self.invariant_factors
         if e > MAX_EXPONENT:
-            raise SizeError(f"group exponent {e} exceeds bound {MAX_EXPONENT}")
+            raise SizeError(f"group exponent exceeds bound {MAX_EXPONENT}")
         return tuple((p, sum(n % p == 0 for n in facs)) for p in _prime_divisors(e))
 
     def to_json(self) -> str:
@@ -166,7 +166,9 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     Both tuples must have length equal to the rank of ``A`` and generate it;
     the top exterior power of ``A`` is cyclic of order ``n_1``, and the class
     of a tuple there is the determinant of integer lifts taken modulo
-    ``n_1``.  The answer is invariant under reordering either tuple.
+    ``n_1``.  Classes are compared up to sign, so |det| is read as the
+    product of the Smith divisors.  The answer is invariant under
+    reordering either tuple.
     """
     d = A.rank
     beta = [A.reduce(b) for b in beta]
@@ -180,9 +182,15 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     if d == 0:
         return True
     n1 = A.invariant_factors[0]
-    db = det(IntMatrix.from_rows([[b[i] for b in beta] for i in range(d)], d))
-    dg = det(IntMatrix.from_rows([[c[i] for c in gamma] for i in range(d)], d))
+    db, dg = (_abs_det(chars, d) for chars in (beta, gamma))
     return (db - dg) % n1 == 0 or (db + dg) % n1 == 0
+
+
+def _abs_det(rows, d: int) -> int:
+    """|det| of a d x d integer matrix: the product of its Smith divisors,
+    0 when one of them is."""
+    sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    return math.prod(smith_normal_form(SparseMatrix(sparse, d)).divisors)
 
 
 def apply_dual(matrix, factors, char) -> tuple[int, ...]:

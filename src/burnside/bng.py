@@ -20,7 +20,7 @@ from .abelian import AbelianGroup, generates
 from .errors import DomainError, InputError, ProvenanceError, SizeError
 from .relations import relation_rows
 from .symbols import Atom, ConstrA, Symbol
-from .zlinalg import IntMatrix, SmithForm, SparseMatrix, smith_normal_form
+from .zlinalg import SmithForm, SparseMatrix, smith_normal_form
 
 # Relation cells as if dense, plus count**2, though nothing that size is built:
 # kept so that the same inputs are refused (about 3,162 generators at most)
@@ -34,15 +34,21 @@ def enumerate_generators(A: AbelianGroup, n: int):
     tuples of character vectors, lexicographic).  Before any is built, the
     cells implied by the candidate count are bounded: a row per candidate
     and pair of positions, a column per candidate, plus a square block.
+    The count C(|A| - 1 + n, n) is a running product over the smaller of
+    n and |A| - 1, stopped once its square alone is over the bound.
     """
     if n < 1:
         raise InputError(f"dimension n = {n} must be positive")
-    count = math.comb(A.order + n - 1, n)
-    cells = count * count * (math.comb(n, 2) + 1)
-    if cells > MAX_RELATION_CELLS:
+    order = A.order
+    count, m = 1, min(n, order - 1)
+    for k in range(1, m + 1):
+        count = count * (order - 1 + n - m + k) // k
+        if count > math.isqrt(MAX_RELATION_CELLS):
+            break
+    if count * count * (math.comb(n, 2) + 1) > MAX_RELATION_CELLS:
         raise SizeError(
-            f"{count} candidate multisets imply about {cells} relation-matrix "
-            f"cells, over the bound {MAX_RELATION_CELLS}"
+            "the candidate multisets imply more relation-matrix cells than "
+            f"the bound {MAX_RELATION_CELLS}"
         )
     combos = itertools.combinations_with_replacement(A.elements(), n)
     return [combo for combo in combos if generates(A, combo)]
@@ -75,7 +81,7 @@ class BnGPresentation:
         return smith_normal_form(self.relation_matrix)
 
     @cached_property
-    def snf_data(self) -> tuple[list[int], IntMatrix]:
+    def snf_data(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
         """The divisors other than 1, and the n x r normal-form map: the
         columns of V for those divisors, one row per generator."""
         divisors = self.smith_form.divisors
@@ -124,7 +130,7 @@ def reduce_class(P: BnGPresentation, x) -> BnGClass:
     # the image under the map: the sum of the rows of the generators present
     image = [0] * len(divisors)
     for gen, coeff in terms:
-        row = nf_map.entries[P.generator_index[gen]]
+        row = nf_map[P.generator_index[gen]]
         image = [y + coeff * v for y, v in zip(image, row)]
     free = tuple(y for y, d in zip(image, divisors) if d == 0)
     torsion = tuple(y % d for y, d in zip(image, divisors) if d)

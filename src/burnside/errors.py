@@ -33,11 +33,12 @@ class ProvenanceError(BurnsideError):
 
 
 def load_json(text: str, what: str):
-    """Parse JSON text; text that is malformed or nested too deeply for the
-    parser is an ``InputError`` naming ``what``."""
+    """Parse JSON text; text that is malformed, nested too deeply for the
+    parser, or holds an integer past Python's digit limit is an
+    ``InputError`` naming ``what``."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"invalid {what}: {exc}") from exc
 
 

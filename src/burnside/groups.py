@@ -189,7 +189,7 @@ class FiniteGroup:
         """Direct product of cyclic groups, elements in mixed-radix order."""
         A = AbelianGroup(tuple(factors))
         if A.order > MAX_GROUP_ORDER:
-            raise SizeError(f"group order {A.order} exceeds bound {MAX_GROUP_ORDER}")
+            raise SizeError(f"group order exceeds bound {MAX_GROUP_ORDER}")
         facs = A.invariant_factors
         strides = [math.prod(facs[k + 1 :]) for k in range(len(facs))]
         # left[k] adds the unit vector e_k: stride s, cyclic in blocks of q s
@@ -382,7 +382,9 @@ def _split_abelian_basis(elems, mul, identity):
 
     ``elems`` is an ordered list of hashable element handles.  Returns a list
     of ``(element, order)`` pairs with decreasing orders; ties in the choice
-    of the maximal-order element are broken by position in ``elems``.
+    of the maximal-order element are broken by position in ``elems``.  The
+    quotient by that element is split the same way, and each of its basis
+    cosets lifts to its first member in ``elems`` of the same order.
     """
     nontrivial = [x for x in elems if x != identity]
     if not nontrivial:
@@ -391,33 +393,25 @@ def _split_abelian_basis(elems, mul, identity):
     # max keeps the first of equal keys: the earliest element of maximal order
     g = max(nontrivial, key=orders.__getitem__)
     m = orders[g]
-    # cosets of <g>
     cyc = [identity]
     cur = g
     while cur != identity:
         cyc.append(cur)
         cur = mul(cur, g)
-    coset_of = {}
-    cosets = []
+    # cosets of <g>, each named by its first member in elems
+    rep, reps = {}, []
     for x in elems:
-        if x in coset_of:
-            continue
-        coset = frozenset(mul(x, c) for c in cyc)
-        cosets.append(coset)
-        for y in coset:
-            coset_of[y] = coset
-
-    def q_mul(c1, c2):
-        return coset_of[mul(next(iter(c1)), next(iter(c2)))]
-
-    q_basis = _split_abelian_basis(cosets, q_mul, coset_of[identity])
+        if x not in rep:
+            reps.append(x)
+            rep.update((mul(x, c), x) for c in cyc)
+    q_basis = _split_abelian_basis(reps, lambda r, s: rep[mul(r, s)], rep[identity])
     basis = [(g, m)]
-    for coset, mq in q_basis:
+    for r, mq in q_basis:
         # a maximal-order pivot guarantees a lift of the same order
-        lifts = [x for x in elems if x in coset and orders[x] == mq]
-        if not lifts:
+        lift = next((x for x in elems if rep[x] == r and orders[x] == mq), None)
+        if lift is None:
             raise InvariantError("no order-preserving lift in abelian splitting")
-        basis.append((lifts[0], mq))
+        basis.append((lift, mq))
     return basis
 
 

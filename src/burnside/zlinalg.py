@@ -1,11 +1,11 @@
 """Exact linear algebra over the integers.
 
-Smith divisors of dense or sparse matrices in plain Python ints, so
-coefficient growth is harmless, by unit pivots in a fill-reducing order and
-a dense loop on the block left, with no transform.  Columns of the transform
-are built on request from the pivots and the block that elimination
-recorded; nothing is eliminated twice.  Row lattices are compared by
-divisors alone.
+One matrix type, sparse rows, and one kernel: Smith divisors in plain
+Python ints, so coefficient growth is harmless, by unit pivots in a
+fill-reducing order and a dense loop on the block left, with no
+transform.  Columns of the transform are built on request from the pivots
+and the block that elimination recorded; nothing is eliminated twice.
+Row lattices are compared by divisors alone.
 """
 
 from __future__ import annotations
@@ -14,30 +14,6 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import InputError
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """An immutable integer matrix; ``entries`` is a tuple of row tuples."""
-
-    entries: tuple[tuple[int, ...], ...]
-    num_cols: int
-
-    @staticmethod
-    def from_rows(rows, num_cols=None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
-        if num_cols is None:
-            num_cols = len(data[0]) if data else 0
-        if any(len(row) != num_cols for row in data):
-            raise InputError("ragged rows in matrix input")
-        return IntMatrix(data, num_cols)
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.entries)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -51,40 +27,6 @@ class SparseMatrix:
     @property
     def num_rows(self) -> int:
         return len(self.entries)
-
-
-def _sparse(M) -> SparseMatrix:
-    if isinstance(M, SparseMatrix):
-        return M
-    rows = (tuple((j, x) for j, x in enumerate(row) if x) for row in M.entries)
-    return SparseMatrix(tuple(rows), M.num_cols)
-
-
-def det(M: IntMatrix) -> int:
-    """Determinant of a square matrix (fraction-free Bareiss elimination)."""
-    if M.num_rows != M.num_cols:
-        raise InputError("determinant requires a square matrix")
-    n = M.num_rows
-    if n == 0:
-        return 1
-    a = M.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _swap_rows(a, i, j):
@@ -177,11 +119,12 @@ class SmithForm:
     pivots: tuple
     residual: tuple
 
-    def transform(self, first: int = 0) -> IntMatrix:
-        """Columns ``first`` onward of V.  The residual block runs through
-        the dense loop with its transform; then back-substitution over the
-        pivots in reverse: row c of a pivot is its unit vector minus the sum
-        of x times row j, and each such j is a later pivot or residual."""
+    def transform(self, first: int = 0) -> tuple[tuple[int, ...], ...]:
+        """Columns ``first`` onward of V, as a tuple of row tuples.  The
+        residual block runs through the dense loop with its transform; then
+        back-substitution over the pivots in reverse: row c of a pivot is its
+        unit vector minus the sum of x times row j, and each such j is a
+        later pivot or residual."""
         cols, block = self.residual
         a = [[row.get(j, 0) for j in cols] for row in block]
         w = [[int(i == j) for i in range(len(cols))] for j in range(len(cols))]
@@ -195,7 +138,7 @@ class SmithForm:
             for j, x in subst:
                 row = [y - x * v for y, v in zip(row, rows[j])]
             rows[c] = row
-        return IntMatrix(tuple(map(tuple, rows)), n - first)
+        return tuple(map(tuple, rows))
 
 
 def _eliminate(rows, in_col, p, c, heap) -> None:
@@ -219,8 +162,8 @@ def _eliminate(rows, in_col, p, c, heap) -> None:
         in_col[j].discard(p)
 
 
-def smith_normal_form(M) -> SmithForm:
-    """Smith form of a dense or sparse matrix ``M``: the divisors, one per
+def smith_normal_form(M: SparseMatrix) -> SmithForm:
+    """Smith form of a sparse matrix ``M``: the divisors, one per
     column (``d_1 | d_2 | ...`` positive, then zeros for the free part),
     and a unimodular column transform ``V``, built only on request, such
     that the rows of ``M V`` span the multiples of ``divisors[k]`` in each
@@ -231,7 +174,6 @@ def smith_normal_form(M) -> SmithForm:
     the divisors the dense loop runs on the rest with no transform,
     transposed if that makes it tall.  No row transform is built.
     """
-    M = _sparse(M)
     rows = [dict(row) for row in M.entries]
     in_col = [set() for _ in range(M.num_cols)]  # the rows held per column
     for i, row in enumerate(rows):
@@ -261,8 +203,8 @@ def smith_normal_form(M) -> SmithForm:
     return SmithForm(divisors, tuple(pivots), residual)
 
 
-def row_space_equal(M1, M2) -> bool:
-    """Whether two dense or sparse matrices span the same sublattice of Z^cols.
+def row_space_equal(M1: SparseMatrix, M2: SparseMatrix) -> bool:
+    """Whether two sparse matrices span the same sublattice of Z^cols.
 
     The lattices L1 and L2 are equal exactly when M1, M2 and their stacked
     rows have the same Smith divisors: Z^cols / L1 maps onto
@@ -274,7 +216,6 @@ def row_space_equal(M1, M2) -> bool:
     """
     if M1.num_cols != M2.num_cols:
         raise InputError("row_space_equal requires equal column counts")
-    M1, M2 = _sparse(M1), _sparse(M2)
     divisors = smith_normal_form(M1).divisors
     if smith_normal_form(M2).divisors != divisors:
         return False

@@ -16,7 +16,7 @@ from burnside import (
     BnGPresentation,
     ConstrA,
     FiniteGroup,
-    IntMatrix,
+    SparseMatrix,
     Symbol,
     construction_a,
     restrict_character,
@@ -37,10 +37,19 @@ def laplace_det(rows):
     return total
 
 
+def sparse_matrix(rows, num_cols=None) -> SparseMatrix:
+    """The sparse matrix of dense integer rows; ``num_cols`` is needed only
+    when there are no rows."""
+    rows = [list(row) for row in rows]
+    if num_cols is None:
+        num_cols = len(rows[0]) if rows else 0
+    assert all(len(row) == num_cols for row in rows), "ragged rows"
+    items = (tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    return SparseMatrix(tuple(items), num_cols)
+
+
 def dense_rows(M) -> list[list[int]]:
-    """Full-width rows of a dense ``IntMatrix`` or a sparse matrix."""
-    if isinstance(M, IntMatrix):
-        return M.to_lists()
+    """Full-width rows of a sparse matrix."""
     rows = [[0] * M.num_cols for _ in M.entries]
     for row, items in zip(rows, M.entries):
         for j, x in items:
@@ -130,13 +139,15 @@ def dense_smith_reference(M) -> list[int]:
     return [a[k][k] for k in range(t)] + [0] * (n - t)
 
 
-def abs_det(M) -> int:
-    """|det| of a square integer matrix by unimodular row steps on sparse
-    rows: per column, the rows holding it are reduced by the one of least
-    absolute entry there until one is left, whose entry is a factor."""
-    rows = [{j: x for j, x in enumerate(row) if x} for row in dense_rows(M)]
+def abs_det(rows) -> int:
+    """|det| of a square integer matrix, given as rows, by unimodular row
+    steps on sparse rows: per column, the rows holding it are reduced by the
+    one of least absolute entry there until one is left, whose entry is a
+    factor."""
+    n = len(rows)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
     out = 1
-    for k in range(M.num_cols):
+    for k in range(n):
         live = [row for row in rows if k in row]
         while len(live) > 1:
             p = min(live, key=lambda row: abs(row[k]))
@@ -194,7 +205,7 @@ def structure_by_ranks(M, primes) -> tuple[int, dict]:
     return M.num_cols - rank, {p: rank - rank_mod(M, p) for p in primes}
 
 
-def dense_relation_rows(P, j_max: int) -> IntMatrix:
+def dense_relation_rows(P, j_max: int) -> list[list[int]]:
     """The relation matrix of a presentation built as full-width rows,
     deduplicated and sorted as tuples: the library must match it."""
     n = P.n
@@ -220,7 +231,7 @@ def dense_relation_rows(P, j_max: int) -> IntMatrix:
                     row[index[tuple(sorted(transformed))]] -= 1
                 if any(row):
                     rows.add(tuple(row))
-    return IntMatrix.from_rows(sorted(rows), len(gens))
+    return [list(row) for row in sorted(rows)]
 
 
 def table_presentations():

@@ -12,6 +12,7 @@ from burnside import (
     wedge_equivalent,
 )
 from burnside.abelian import MAX_EXPONENT
+from conftest import laplace_det
 
 
 class TestAbelianGroup:
@@ -125,6 +126,27 @@ class TestWedge:
             assert wedge_equivalent(A, t, t)
         for s, t in itertools.combinations(sample, 2):
             assert wedge_equivalent(A, s, t) == wedge_equivalent(A, t, s)
+
+    @pytest.mark.parametrize(
+        "factors, step",
+        [((3, 3), 1), ((2, 4), 1), ((2, 2, 2), 9), ((5, 5), 61)],
+        ids=["Z3xZ3", "Z2xZ4", "Z2xZ2xZ2-sample", "Z5xZ5-sample"],
+    )
+    def test_matches_cofactor_determinants(self, factors, step):
+        # the class of a tuple is its cofactor determinant mod n_1, up to
+        # sign: every ordered pair of generating tuples, or every step-th;
+        # over Z/5 x Z/5 the classes +-1 and +-2 differ
+        A = AbelianGroup(factors)
+        n1 = factors[0]
+        tuples = [
+            t
+            for t in itertools.product(A.elements(), repeat=A.rank)
+            if len(A.subgroup_generated(t)) == A.order
+        ]
+        for s, t in list(itertools.product(tuples, repeat=2))[::step]:
+            ds, dt = laplace_det(s), laplace_det(t)
+            expected = (ds - dt) % n1 == 0 or (ds + dt) % n1 == 0
+            assert wedge_equivalent(A, s, t) == expected, (s, t)
 
     def test_mixed_factors_well_defined(self):
         # determinant mod the smallest factor is lift-independent

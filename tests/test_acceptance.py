@@ -13,9 +13,8 @@ from burnside import (
     Atom,
     BnGPresentation,
     FiniteGroup,
-    IntMatrix,
+    SparseMatrix,
     Symbol,
-    det,
     expand_b2,
     expand_prop46,
     group_structure,
@@ -28,7 +27,7 @@ from burnside import (
     wedge_equivalent,
 )
 from burnside.cli import emit_table
-from conftest import matmul, minor_gcd
+from conftest import abs_det, dense_rows, matmul, minor_gcd, sparse_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,7 +56,7 @@ def totient(m):
     return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
 
 
-def oracle_structure(M: IntMatrix):
+def oracle_structure(M: SparseMatrix):
     """Cokernel structure from gcds of minors, independent of the SNF code."""
     divisors = []
     prev = 1
@@ -214,17 +213,17 @@ def test_criterion_7_smith_form_properties():
     for _ in range(500):
         m = rng.randint(1, 8)
         n = rng.randint(1, 8)
-        M = IntMatrix.from_rows(
+        M = sparse_matrix(
             [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
         )
         F = smith_normal_form(M)
         divisors, V = F.divisors, F.transform()
-        if len(divisors) != n or abs(det(V)) != 1:
+        if len(divisors) != n or abs_det(V) != 1:
             ok = False
         # column k of M V lies in d_k Z, and is zero where d_k = 0
         if any(
             x != 0 if d == 0 else x % d != 0
-            for row in matmul(M.to_lists(), V.to_lists())
+            for row in matmul(dense_rows(M), V)
             for x, d in zip(row, divisors)
         ) or any(d < 0 for d in divisors):
             ok = False

@@ -121,26 +121,34 @@ class TestExitCodes:
         assert "size error" in proc.stderr
 
     def test_relation_size_bound(self):
-        # the relation matrix implied by 500,500 candidate multisets is over
-        # the cells bound: exit 3 before enumerating
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "burnside.cli",
-                "bng-structure",
-                "--group",
-                '{"invariant_factors":[1000]}',
-                "--n",
-                "2",
-            ],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("size error: ")
-        assert proc.stderr.count("\n") == 1
+        # each is over a bound: exit 3 before enumerating, and the message
+        # names the bound, not a number too long to print.  The relation
+        # matrix implied by 500,500 candidate multisets of Z/1000 is over the
+        # cells bound; so is the count C(6 * 10**6 - 1, 3 * 10**6), whose
+        # exact value would take minutes to build; and so are two groups of
+        # order 2**20000, as a presentation and as a table
+        twos = json.dumps([2] * 20000)
+        symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'
+        for argv in (
+            ["bng-structure", "--group", '{"invariant_factors":[1000]}', "--n", "2"],
+            ["bng-structure", "--group", '{"invariant_factors":[3000000]}',
+             "--n", "3000000"],
+            ["bng-structure", "--group", '{"invariant_factors":[1000000]}',
+             "--n", "1000000"],
+            ["bng-structure", "--group", '{"invariant_factors":%s}' % twos, "--n", "2"],
+            ["canon", "--group", '{"type":"abelian","invariant_factors":%s}' % twos,
+             "--symbol", symbol],
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-m", "burnside.cli", *argv],
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 3, argv[:3]
+            assert proc.stdout == ""
+            assert proc.stderr.startswith("size error: ")
+            assert proc.stderr.count("\n") == 1
 
     def test_group_order_bound(self):
         # Z/2500 is over MAX_GROUP_ORDER: exit 3 before its table is built
@@ -253,6 +261,8 @@ class TestExitCodes:
              "--symbol",
              '{"subgroup":5,"field":{"atom":{"name":"k","trdeg":0}},"beta":[[1]],"n":1}'],
             ["wedge", "--group", Z3, "--x", "[[1]]", "--y", "[" * 100000],
+            ["bng-structure", "--group",
+             '{"invariant_factors":[%s]}' % ("1" * 5000), "--n", "2"],
         ],
         ids=[
             "class-string",
@@ -264,6 +274,7 @@ class TestExitCodes:
             "cayley-string",
             "subgroup-int",
             "nested-too-deep",
+            "int-over-digit-limit",
         ],
     )
     def test_malformed_entries_return_input_code(self, argv, capsys):

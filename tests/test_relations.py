@@ -9,7 +9,6 @@ from burnside import (
     ConstrA,
     FiniteGroup,
     InputError,
-    IntMatrix,
     Symbol,
     SymbolSum,
     apply_b1,
@@ -214,14 +213,15 @@ class TestRelationRows:
         # sparse rows, deduplicated; their order is not compared
         for P, j in table_presentations():
             M = relation_rows(P, j)
-            dense = IntMatrix.from_rows(sorted(dense_rows(M)), M.num_cols)
-            assert dense == dense_relation_rows(P, j), (P.A, P.n, j)
+            assert (sorted(dense_rows(M)), M.num_cols) == (
+                dense_relation_rows(P, j), len(P.generators)
+            ), (P.A, P.n, j)
 
     def test_matches_dense_oracle_b2_z29(self):
         P = BnGPresentation(AbelianGroup((29,)), 2)
         M = relation_rows(P, 2)
         assert (M.num_rows, M.num_cols) == (420, 434)
-        assert sorted(dense_rows(M)) == dense_relation_rows(P, 2).to_lists()
+        assert sorted(dense_rows(M)) == dense_relation_rows(P, 2)
 
     def test_j_max_validation(self):
         A = AbelianGroup((3,))
