@@ -6,7 +6,7 @@ to contain enough roots of unity, the character group is identified with
 the group itself: a character is an integer vector with entry ``i``
 reduced modulo ``n_i``.  The dual maps between the character groups of
 abelian subgroups of a finite group (the normalizer's action, transport
-along conjugation) are matrices on these vectors.
+along conjugation, restriction) are matrices on these vectors.
 """
 
 from __future__ import annotations
@@ -217,7 +217,8 @@ def character_action(G: FiniteGroup, g: int, H: SubgroupRef) -> list[list[int]]:
 def transport_characters(
     G: FiniteGroup, src: SubgroupRef, dst: SubgroupRef, g: int
 ) -> list[list[int]]:
-    """Dual-map matrix carrying characters of ``src`` to ``g src g^-1 = dst``.
+    """Dual-map matrix carrying characters of ``src`` to ``dst``, a subgroup
+    of ``g src g^-1``; with g the identity it is restriction.
 
     The image of a character ``a`` of src is ``a o conj_{g^-1}`` on dst:
     row i holds its coefficients at dst's basis element b_i, read from the
@@ -231,7 +232,7 @@ def transport_characters(
         row = []
         for c, n in zip(src.coords(G.conj(ginv, b)), n_src):
             if c * m % n:
-                raise InvariantError("conjugation does not respect orders")
+                raise InvariantError("dual map does not respect orders")
             row.append(c * m // n % m)
         mat.append(row)
     return mat

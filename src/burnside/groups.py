@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import eq, itemgetter
 
-from .abelian import AbelianGroup, apply_dual, character_action, transport_characters
+from .abelian import AbelianGroup, transport_characters
 from .errors import InputError, InvariantError, SizeError
 from .errors import is_int_rows, load_json
 
@@ -159,14 +159,15 @@ class FiniteGroup:
 
         Elements are indexed breadth-first from the identity, applying the
         generators in their given order, so the indexing is deterministic.
+        Work is proportional to the generators, not to ``degree``.
         """
         gens = []
         for p in perms:
             p = tuple(int(x) for x in p)
-            if sorted(p) != list(range(degree)):
+            if len(p) != degree or sorted(p) != list(range(degree)):
                 raise InputError(f"not a permutation of {degree} points: {p}")
             gens.append(p)
-        ident = tuple(range(degree))
+        ident = tuple(range(degree if gens else 0))
         elems, index = [ident], {ident: 0}
         left, parents = [[] for _ in gens], []
         for x, cur in enumerate(elems):
@@ -417,20 +418,11 @@ def _split_abelian_basis(elems, mul, identity):
 
 @dataclass(eq=False)
 class SubgroupRef:
-    """An abelian subgroup of a FiniteGroup with cached structure data."""
+    """An abelian subgroup of a FiniteGroup with cached structure data, built
+    only by ``FiniteGroup.subgroup``: one per element set, equal = identical."""
 
     group: FiniteGroup
     elements: tuple[int, ...]
-
-    def __hash__(self):
-        return hash((id(self.group), self.elements))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SubgroupRef)
-            and self.group is other.group
-            and self.elements == other.elements
-        )
 
     @property
     def order(self) -> int:
@@ -443,23 +435,16 @@ class SubgroupRef:
     @cached_property
     def canonical_maps(self) -> tuple["SubgroupRef", tuple]:
         """The class representative R and the distinct dual maps from this
-        subgroup's characters to R's, as tuples of rows.  On R they are the
-        ``character_action`` matrices of its normalizer, the identity's
-        first, then in the order of the first element that gives each; on a
-        conjugate, each of them after the ``transport_characters`` map T by
-        the least conjugator, built by applying it to every column of T."""
+        subgroup's characters to R's, as tuples of rows: the
+        ``transport_characters`` maps by x g for x in (identity, *N(R)), g the
+        least conjugator, in the order of the first x that gives each.  The
+        transport by x g is the action of x after the transport by g."""
         G = self.group
         rep, g = G.class_representative(self.elements)
         R = G.subgroup(rep)
-        if R is self:
-            mats = (character_action(G, x, R) for x in (G.identity, *R.normalizer))
-            return R, tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
-        cols = list(zip(*transport_characters(G, self, R, g)))
-        facs = R.structure.invariant_factors
-        return R, tuple(
-            tuple(zip(*(apply_dual(mat, facs, c) for c in cols)))
-            for mat in R.canonical_maps[1]
-        )
+        xs = (G.identity, *R.normalizer)
+        mats = (transport_characters(G, self, R, G.mul(x, g)) for x in xs)
+        return R, tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
 
     @property
     def structure(self) -> AbelianGroup:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .abelian import AbelianGroup
+from .abelian import AbelianGroup, apply_dual, transport_characters
 from .errors import InputError
 from .symbols import (
     Symbol,
@@ -18,7 +18,6 @@ from .symbols import (
     canonicalize_symbol,
     combine,
     construction_a,
-    restrict_character,
 )
 from .zlinalg import SparseMatrix
 
@@ -140,7 +139,9 @@ def _blowup_terms(s: Symbol, beta, j: int):
             new_beta = (beta[I[0]], *(d[i] for i in complement), *beta[j:])
             if diffs:
                 Hbar, Kbar = construction_a(s.group, H, s.field_label, diffs)
-                new_beta = tuple(restrict_character(H, Hbar, b) for b in new_beta)
+                res = transport_characters(s.group, H, Hbar, s.group.identity)
+                facs_bar = Hbar.structure.invariant_factors
+                new_beta = tuple(apply_dual(res, facs_bar, b) for b in new_beta)
             else:
                 # singleton index set: nothing is blown down, keep the label
                 Hbar, Kbar = H, s.field_label

@@ -105,7 +105,7 @@ def field_from_json_obj(obj) -> FieldLabel:
     raise InputError('field label key must be "atom" or "constr_a"')
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Symbol:
     """A generator symbol inside an ambient group at dimension ``ambient_n``."""
 
@@ -128,19 +128,6 @@ class Symbol:
             raise InvariantError("weights must be nonzero characters")
         if not generates(A, beta):
             raise InvariantError("weights do not generate the character group")
-
-    def key(self):
-        return (self.subgroup.elements, self.field_label, self.beta, self.ambient_n)
-
-    def __hash__(self):
-        return hash((id(self.group),) + self.key())
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Symbol)
-            and self.group is other.group
-            and self.key() == other.key()
-        )
 
     def to_json_obj(self):
         return {
@@ -303,18 +290,7 @@ def construction_a(
 
 
 def restrict_character(H: SubgroupRef, Hbar: SubgroupRef, char) -> tuple[int, ...]:
-    """Restriction of a character of ``H`` to a subgroup ``Hbar`` of it."""
-    A = H.structure
-    char = A.reduce(char)
-    Abar = Hbar.structure
-    e = A.exponent
-    weights = [e // n for n in A.invariant_factors]
-    out = []
-    for b, m in zip(Hbar.basis, Abar.invariant_factors):
-        c = H.coords(b)
-        val = sum(a_i * c_i * w for a_i, c_i, w in zip(char, c, weights)) % e
-        num = val * m
-        if num % e:
-            raise InvariantError("restriction is not a character of the subgroup")
-        out.append((num // e) % m)
-    return tuple(out)
+    """Restriction of a character of ``H`` to a subgroup ``Hbar`` of it: the
+    transport by the identity."""
+    mat = transport_characters(H.group, H, Hbar, H.group.identity)
+    return apply_dual(mat, Hbar.structure.invariant_factors, H.structure.reduce(char))

@@ -18,8 +18,6 @@ from burnside import (
     FiniteGroup,
     SparseMatrix,
     Symbol,
-    construction_a,
-    restrict_character,
 )
 
 
@@ -449,9 +447,11 @@ def canonicalize_reference(s):
 def expand_prop46_reference(s, j) -> dict:
     """The multi-index expansion by literal enumeration of every coset of
     each index set's difference subgroup, terms canonicalized by
-    ``canonicalize_reference``: symbol -> coefficient."""
-    beta = s.beta
-    A = s.subgroup.structure
+    ``canonicalize_reference``: symbol -> coefficient.  The joint kernel is
+    found by evaluating the differences on every element, labelled by them
+    up to sign, and the weights are restricted by comparing value tables."""
+    G, H, beta = s.group, s.subgroup, s.beta
+    A = H.structure
     out = {}
     for size in range(1, j + 1):
         for I in itertools.combinations(range(j), size):
@@ -470,19 +470,26 @@ def expand_prop46_reference(s, j) -> dict:
                     continue
                 if any(beta[k] in span for k in range(j, len(beta))):
                     continue
-                if diffs:
-                    Hbar, Kbar = construction_a(s.group, s.subgroup, s.field_label, diffs)
-                else:
-                    Hbar, Kbar = s.subgroup, s.field_label
                 complement = [i for i in range(j) if i not in I]
                 new_beta = [beta[i0]] + [A.sub(beta[i], beta[i0]) for i in complement]
                 new_beta += beta[j:]
+                if diffs:
+                    Hbar = G.subgroup(
+                        h for h in H.elements if all(H.char_value(d, h) == 0 for d in diffs)
+                    )
+                    Kbar = ConstrA(
+                        base=s.field_label,
+                        chars=tuple(sorted(min(d, A.neg(d)) for d in diffs)),
+                    )
+                    new_beta = _moved_characters(G, H, Hbar, G.identity, new_beta)
+                else:
+                    Hbar, Kbar = H, s.field_label
                 term = canonicalize_reference(
                     Symbol(
-                        group=s.group,
+                        group=G,
                         subgroup=Hbar,
                         field_label=Kbar,
-                        beta=tuple(restrict_character(s.subgroup, Hbar, b) for b in new_beta),
+                        beta=tuple(new_beta),
                         ambient_n=s.ambient_n,
                     )
                 )

@@ -57,6 +57,20 @@ class TestGolden:
                 "bng_reduce_z3.json",
                 ["bng-reduce", "--group", Z3, "--n", "2", "--class", "[[1],[1]]"],
             ),
+            (
+                # a Klein four-subgroup of S4 that is not its class's
+                # representative: transport by a conjugator, then N(R)
+                "canon_s4_conjugate.json",
+                [
+                    "canon",
+                    "--group",
+                    '{"type":"permutation","degree":4,'
+                    '"generators":[[1,0,2,3],[1,2,3,0]]}',
+                    "--symbol",
+                    '{"subgroup":[0,5,17,18],"field":{"atom":{"name":"k","trdeg":0}},'
+                    '"beta":[[0,1],[1,0]],"n":2}',
+                ],
+            ),
         ],
     )
     def test_byte_exact(self, name, args):

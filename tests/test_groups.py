@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -93,6 +94,20 @@ class TestConstruction:
     def test_bad_permutation(self):
         with pytest.raises(InputError):
             FiniteGroup.from_permutations(2, [[0, 0]])
+
+    def test_degree_alone_builds_nothing(self):
+        # with no generators nothing of size degree is built; a generator
+        # of the wrong length is refused before anything of that size
+        tracemalloc.start()
+        try:
+            G = FiniteGroup.from_permutations(2_000_000, [])
+            with pytest.raises(InputError):
+                FiniteGroup.from_permutations(2_000_000, [[1, 0]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert G.order == 1
+        assert peak < 2**20
 
     def test_size_bound(self, monkeypatch):
         # the bound is read when the closure runs: D8 has 8 elements
@@ -353,6 +368,13 @@ class TestSubgroups:
             d8.subgroup(range(8))  # not abelian
         with pytest.raises(InputError):
             d8.subgroup([])
+
+    def test_subgroup_is_interned(self, d8, d8_parts):
+        # one object per element set, whatever the order or repetition
+        H = d8_parts["H"]
+        elems = list(H.elements)
+        assert d8.subgroup(reversed(elems)) is H
+        assert d8.subgroup(elems + elems[:2]) is H
 
     def test_subgroup_closure_test_matches_bfs(self, d8):
         # every nonempty subset of D8 is accepted exactly when the BFS

@@ -3,6 +3,7 @@ import pytest
 from burnside import (
     Atom,
     ConstrA,
+    FiniteGroup,
     InputError,
     InvariantError,
     Symbol,
@@ -115,6 +116,26 @@ class TestSymbolInvariants:
             Symbol.from_json(d8, '{"subgroup": [0]}')
         with pytest.raises(InputError):
             Symbol.from_json(d8, "oops")
+
+    def test_symbols_over_distinct_groups_differ(self):
+        # subgroups are interned per group object: one table built twice
+        # gives two symbols with equal fields that are two dict keys
+        table = FiniteGroup.from_invariant_factors((3,)).cayley
+        s, t = (
+            Symbol(
+                group=G,
+                subgroup=G.full_subgroup(),
+                field_label=Atom(name="k", trdeg=0),
+                beta=((1,), (2,)),
+                ambient_n=2,
+            )
+            for G in (FiniteGroup(table), FiniteGroup(table))
+        )
+        assert s.to_json_obj() == t.to_json_obj()
+        assert s != t
+        assert s == Symbol.from_json_obj(s.group, s.to_json_obj())
+        keys = {s: 1, t: 2}
+        assert len(keys) == 2 and keys[s] == 1 and keys[t] == 2
 
 
 class TestSymbolSum:
