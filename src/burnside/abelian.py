@@ -16,18 +16,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import InputError, InvariantError, PreconditionError, SizeError
+from .errors import InputError, InvariantError, PreconditionError
 from .errors import is_int_rows, load_json
-from .zlinalg import SparseMatrix, smith_normal_form
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup, SubgroupRef
-
-# generates factors the exponent by trial division up to its square root
-MAX_EXPONENT = 10**12
 
 
 @dataclass(frozen=True)
@@ -101,14 +96,6 @@ class AbelianGroup:
                     frontier.append(nxt)
         return frozenset(seen)
 
-    @cached_property
-    def _frattini_ranks(self) -> tuple[tuple[int, int], ...]:
-        """(p, dim A/pA) for each prime p dividing the exponent."""
-        e, facs = self.exponent, self.invariant_factors
-        if e > MAX_EXPONENT:
-            raise SizeError(f"group exponent exceeds bound {MAX_EXPONENT}")
-        return tuple((p, sum(n % p == 0 for n in facs)) for p in _prime_divisors(e))
-
     def to_json(self) -> str:
         return json.dumps(
             {"invariant_factors": list(self.invariant_factors)},
@@ -129,35 +116,41 @@ class AbelianGroup:
             raise InputError(str(exc)) from exc
 
 
-def _prime_divisors(m: int) -> list[int]:
-    primes, p = [], 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-        while m % p == 0:
-            m //= p
-        p += 1
-    return primes + [m] if m > 1 else primes
+def _pivots(rows, moduli) -> list[int]:
+    """|pivot| of each column once Euclid's row steps bring the integer
+    ``rows`` to echelon form, 0 where a column has none.  A step reduces
+    the row it makes modulo ``moduli``, one per column, so no entry grows.
+
+    Rows in [0, m_k] that include the relations m_k e_k span Z^r exactly
+    when every pivot is 1: a relation is untouched until its own column,
+    and a reduction subtracts those past the pivot column (on the others
+    it is the identity).  For r rows and all moduli equal to m, the
+    product of the pivots is +-det mod m.
+    """
+    pivots = []
+    for c in range(len(moduli)):
+        pivot, rest = None, []
+        for row in rows:
+            if pivot is None and row[c]:
+                pivot = row
+                continue
+            while row[c]:  # Euclid on the pair leaves the gcd in the pivot
+                q = row[c] // pivot[c]
+                row = [(x - q * y) % m for x, y, m in zip(row, pivot, moduli)]
+                if row[c]:
+                    pivot, row = row, pivot
+            rest.append(row)
+        pivots.append(0 if pivot is None else abs(pivot[c]))
+        rows = rest
+    return pivots
 
 
 def generates(A: AbelianGroup, beta) -> bool:
-    """Whether the characters in ``beta`` generate all of ``A``.
-
-    Frattini quotient test: for every prime ``p`` dividing the exponent they
-    must span ``A/pA = F_p^r``, read on the ``r`` factors that ``p`` divides.
-    """
-    ranks = A._frattini_ranks
-    beta = [A.reduce(b) for b in beta]
-    for p, r in ranks:
-        rows = [[x % p for x in b[A.rank - r :]] for b in beta]
-        # eliminate over F_p (a pivot row clears itself); no pivot: rank < r
-        for c in range(r):
-            pivot = next((v for v in rows if v[c]), None)
-            if pivot is None:
-                return False
-            k = pow(pivot[c], -1, p)
-            rows = [[(x - v[c] * k * y) % p for x, y in zip(v, pivot)] for v in rows]
-    return True
+    """Whether the characters in ``beta`` generate all of ``A``: whether
+    they span Z^r together with the relations n_i e_i."""
+    facs, r = A.invariant_factors, A.rank
+    relations = ((0,) * i + (n,) + (0,) * (r - 1 - i) for i, n in enumerate(facs))
+    return _pivots([*map(A.reduce, beta), *relations], facs) == [1] * r
 
 
 def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
@@ -166,9 +159,9 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     Both tuples must have length equal to the rank of ``A`` and generate it;
     the top exterior power of ``A`` is cyclic of order ``n_1``, and the class
     of a tuple there is the determinant of integer lifts taken modulo
-    ``n_1``.  Classes are compared up to sign, so |det| is read as the
-    product of the Smith divisors.  The answer is invariant under
-    reordering either tuple.
+    ``n_1``.  Classes are compared up to sign, so the class is read as the
+    product of the pivots of an echelon form modulo ``n_1``.  The answer
+    is invariant under reordering either tuple.
     """
     d = A.rank
     beta = [A.reduce(b) for b in beta]
@@ -182,15 +175,8 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     if d == 0:
         return True
     n1 = A.invariant_factors[0]
-    db, dg = (_abs_det(chars, d) for chars in (beta, gamma))
+    db, dg = (math.prod(_pivots(chars, (n1,) * d)) for chars in (beta, gamma))
     return (db - dg) % n1 == 0 or (db + dg) % n1 == 0
-
-
-def _abs_det(rows, d: int) -> int:
-    """|det| of a d x d integer matrix: the product of its Smith divisors,
-    0 when one of them is."""
-    sparse = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
-    return math.prod(smith_normal_form(SparseMatrix(sparse, d)).divisors)
 
 
 def apply_dual(matrix, factors, char) -> tuple[int, ...]:

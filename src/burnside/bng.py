@@ -18,13 +18,9 @@ from functools import cached_property
 
 from .abelian import AbelianGroup, generates
 from .errors import DomainError, InputError, ProvenanceError, SizeError
-from .relations import relation_rows
+from .relations import MAX_RELATION_CELLS, relation_rows
 from .symbols import Atom, ConstrA, Symbol
 from .zlinalg import SmithForm, SparseMatrix, smith_normal_form
-
-# Relation cells as if dense, plus count**2, though nothing that size is built:
-# kept so that the same inputs are refused (about 3,162 generators at most)
-MAX_RELATION_CELLS = 10**7
 
 
 def enumerate_generators(A: AbelianGroup, n: int):

@@ -37,7 +37,7 @@ def _read_value(value: str) -> str:
         try:
             with open(value, encoding="utf-8") as fh:
                 return fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read input file {value!r}: {exc}") from exc
     return value
 

@@ -8,10 +8,11 @@ case j = 2, and generates the relation rows of a tuple-group presentation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .abelian import AbelianGroup, apply_dual, transport_characters
-from .errors import InputError
+from .errors import InputError, SizeError
 from .symbols import (
     Symbol,
     SymbolSum,
@@ -20,6 +21,11 @@ from .symbols import (
     construction_a,
 )
 from .zlinalg import SparseMatrix
+
+# Relation-matrix work in cells.  bng prices the candidate multisets as if
+# dense, plus count**2, though nothing that size is built; relation_rows
+# prices the position sets it visits, n cells each
+MAX_RELATION_CELLS = 10**7
 
 VANISHED_NONE = "none"
 VANISHED_B1 = "B1"
@@ -173,12 +179,21 @@ def relation_rows(P, j_max: int) -> SparseMatrix:
     their index.  One deduplicated row per generator, ``j <= j_max`` and
     choice of ``j`` positions: the generator minus the sum of its
     transformed tuples, with coordinates indexed by ``P.generator_index``.
-    Rows are sorted as tuples of ``(column, value)`` items.
+    Rows are sorted as tuples of ``(column, value)`` items.  Before any is
+    built, the work is bounded: ``n`` cells per generator and position set.
     """
     A, n = P.A, P.n
     if not (2 <= j_max <= n):
         raise InputError(f"j_max = {j_max} must satisfy 2 <= j_max <= {n}")
     gens = P.generators
+    cells = 0
+    for j in range(2, j_max + 1):
+        cells += len(gens) * math.comb(n, j) * n
+        if cells > MAX_RELATION_CELLS:
+            raise SizeError(
+                "the relation rows visit more cells than the bound "
+                f"{MAX_RELATION_CELLS}"
+            )
     index = P.generator_index
     # generator entries are reduced characters: subtract without validation
     facs = A.invariant_factors

@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 
 import pytest
 
@@ -7,12 +9,14 @@ from burnside import (
     InputError,
     InvariantError,
     PreconditionError,
-    SizeError,
     generates,
     wedge_equivalent,
 )
-from burnside.abelian import MAX_EXPONENT
-from conftest import laplace_det
+from burnside.abelian import _pivots
+from conftest import laplace_det, minor_gcd, sparse_matrix
+
+# primes with a product past 10**12
+P, Q = 1000003, 1000033
 
 
 class TestAbelianGroup:
@@ -69,7 +73,7 @@ class TestGenerates:
         ids=str,
     )
     def test_matches_closure_oracle(self, factors):
-        # the F_p rank test against the size of the closure
+        # generation against the size of the closure
         A = AbelianGroup(factors)
         for size in (1, 2, 3):
             for beta in itertools.combinations_with_replacement(A.elements(), size):
@@ -84,10 +88,57 @@ class TestGenerates:
             generates(A, [(1,)])
 
     def test_exponent_bound(self):
-        # the bound itself is factored (2^12 5^12); one above it is refused
-        assert generates(AbelianGroup((MAX_EXPONENT,)), [(1,)])
-        with pytest.raises(SizeError):
-            generates(AbelianGroup((MAX_EXPONENT + 1,)), [(1,)])
+        # no exponent is too large: nothing is factored
+        p, q = 10**40 + 3, 10**40 + 9
+        A = AbelianGroup((p * q,))
+        assert generates(A, [(p + q,)])
+        assert not generates(A, [(5 * p,), (7 * p,)])
+
+    @pytest.mark.parametrize(
+        "factors", [(P * Q,), (P, P * Q), (2 * P, 2 * P * Q)], ids=str
+    )
+    def test_matches_minor_gcd_oracle(self, factors):
+        # the weights generate exactly when they and the relations n_i e_i
+        # have r x r minors of gcd 1; entries are random multiples of the
+        # divisors of the exponent, so both answers occur
+        A = AbelianGroup(factors)
+        r, e = A.rank, A.exponent
+        diag = [[n * (i == j) for j in range(r)] for i, n in enumerate(factors)]
+        rng = random.Random(repr(factors))
+        answers = set()
+        for _ in range(150):
+            beta = [
+                [rng.choice((1, 2, P, Q)) * rng.randrange(-e, 2 * e) for _ in range(r)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            want = minor_gcd(sparse_matrix(beta + diag), r) == 1
+            assert generates(A, beta) == want, beta
+            answers.add(want)
+        assert answers == {True, False}
+
+    def test_large_rank_matches_f2_rank(self):
+        # over (Z/2)^60 the weights generate exactly when they have rank 60
+        # over F_2 (bit rows, xor basis); entries stay bounded, so each
+        # answer takes milliseconds
+        r = 60
+        A = AbelianGroup((2,) * r)
+        rng = random.Random(60)
+        answers = set()
+        for k in (59, 60, 60, 60, 61, 64):
+            beta = [tuple(rng.randrange(2) for _ in range(r)) for _ in range(k)]
+            basis = {}
+            for row in beta:
+                bits = int("".join(map(str, row)), 2)
+                while bits and bits.bit_length() in basis:
+                    bits ^= basis[bits.bit_length()]
+                if bits:
+                    basis[bits.bit_length()] = bits
+            want = len(basis) == r
+            assert generates(A, beta) == want
+            answers.add(want)
+            if want and k == r:
+                assert wedge_equivalent(A, beta, beta[::-1])
+        assert answers == {True, False}
 
 
 class TestWedge:
@@ -147,6 +198,18 @@ class TestWedge:
             ds, dt = laplace_det(s), laplace_det(t)
             expected = (ds - dt) % n1 == 0 or (ds + dt) % n1 == 0
             assert wedge_equivalent(A, s, t) == expected, (s, t)
+
+    def test_pivot_product_is_det_mod_m(self):
+        # square matrices, singular ones included, against cofactor
+        # expansion: the product of the pivots is +-det mod m
+        rng = random.Random(7)
+        for _ in range(300):
+            d, m = rng.randint(1, 4), rng.choice((2, 6, 7, 12, 10**15 + 37))
+            rows = [[rng.randrange(m) for _ in range(d)] for _ in range(d)]
+            if d > 1 and rng.random() < 0.2:
+                rows[-1] = [(2 * x - 3 * y) % m for x, y in zip(rows[0], rows[-2])]
+            det, prod = laplace_det(rows), math.prod(_pivots(rows, (m,) * d))
+            assert (prod - det) % m == 0 or (prod + det) % m == 0, (rows, m)
 
     def test_mixed_factors_well_defined(self):
         # determinant mod the smallest factor is lift-independent
