@@ -83,6 +83,7 @@ class AbelianGroup:
             yield tup
 
     def subgroup_generated(self, gens) -> frozenset:
+        """The span of ``gens`` by BFS: the oracle of tests and benchmarks."""
         gens = [self.reduce(g) for g in gens]
         facs = self.invariant_factors
         seen = {self.zero()}

@@ -90,6 +90,8 @@ class BnGPresentation:
 
     def coerce_generator(self, multiset) -> tuple:
         key = tuple(sorted(self.A.reduce(c) for c in multiset))
+        if len(key) != self.n:
+            raise InputError(f"tuple has {len(key)} characters, not n = {self.n}")
         if key not in self.generator_index:
             raise InputError(f"tuple {key} is not a generator (must generate A)")
         return key

@@ -24,7 +24,7 @@ from .zlinalg import SparseMatrix
 
 # Relation-matrix work in cells.  bng prices the candidate multisets as if
 # dense, plus count**2, though nothing that size is built; relation_rows
-# prices the position sets it visits, n cells each
+# prices position sets, n cells each, more than the sub-multisets it visits
 MAX_RELATION_CELLS = 10**7
 
 VANISHED_NONE = "none"
@@ -117,14 +117,14 @@ def _blowup_terms(s: Symbol, beta, j: int):
     the weights ``beta`` of ``s.subgroup``, in increasing size, the term as
     the relation produces it, before canonicalization.
 
-    An index set is admissible with a zero-avoiding coset holding exactly
-    the weights beta[i], i in I, of the first ``j``.  Only beta[i0] +
-    <beta[i] - beta[i0]>, i0 = min I, can hold them all, so it alone is
-    tested: x lies in it exactly when x - beta[i0] is in the span.
+    I is admissible when beta[i0] + S, i0 = min I and S the span of beta[i]
+    - beta[i0] for i in I, avoids zero and the other weights of the first
+    ``j``, and S misses the rest.  By duality x is in S exactly when it
+    vanishes on S^perp, the joint kernel the term lives on: I is admissible
+    exactly when no weight of its term, restricted there, is zero.
     """
-    H, A = s.subgroup, s.subgroup.structure
-    facs = A.invariant_factors
-    zero = {A.zero()}
+    H = s.subgroup
+    facs = H.structure.invariant_factors
     # weights are reduced characters: subtract without validation
     diff = [
         [tuple((x - y) % q for x, y, q in zip(b, a, facs)) for b in beta[:j]]
@@ -133,31 +133,23 @@ def _blowup_terms(s: Symbol, beta, j: int):
     for size in range(1, j + 1):
         for I in itertools.combinations(range(j), size):
             d = diff[I[0]]
-            diffs = [d[i] for i in I[1:]]
-            complement = [i for i in range(j) if i not in I]
-            span = A.subgroup_generated(diffs) if diffs else zero
-            if (
-                beta[I[0]] in span
-                or any(d[i] in span for i in complement)
-                or any(b in span for b in beta[j:])
-            ):
-                continue
-            new_beta = (beta[I[0]], *(d[i] for i in complement), *beta[j:])
-            if diffs:
+            new_beta = (beta[I[0]], *(d[i] for i in range(j) if i not in I), *beta[j:])
+            # a singleton index set blows nothing down: keep the label
+            Hbar, Kbar = H, s.field_label
+            if size > 1:
+                diffs = [d[i] for i in I[1:]]
                 Hbar, Kbar = construction_a(s.group, H, s.field_label, diffs)
                 res = transport_characters(s.group, H, Hbar, s.group.identity)
                 facs_bar = Hbar.structure.invariant_factors
                 new_beta = tuple(apply_dual(res, facs_bar, b) for b in new_beta)
-            else:
-                # singleton index set: nothing is blown down, keep the label
-                Hbar, Kbar = H, s.field_label
-            yield I, Symbol(
-                group=s.group,
-                subgroup=Hbar,
-                field_label=Kbar,
-                beta=new_beta,
-                ambient_n=s.ambient_n,
-            )
+            if all(any(b) for b in new_beta):
+                yield I, Symbol(
+                    group=s.group,
+                    subgroup=Hbar,
+                    field_label=Kbar,
+                    beta=new_beta,
+                    ambient_n=s.ambient_n,
+                )
 
 
 def expand_prop46(s: Symbol, j: int) -> SymbolSum:
@@ -177,10 +169,11 @@ def relation_rows(P, j_max: int) -> SparseMatrix:
 
     ``P`` supplies the group ``A``, the dimension ``n``, the generators and
     their index.  One deduplicated row per generator, ``j <= j_max`` and
-    choice of ``j`` positions: the generator minus the sum of its
-    transformed tuples, with coordinates indexed by ``P.generator_index``.
+    sub-multiset of ``j`` of its characters: the generator minus the sum of
+    its transformed tuples, with coordinates indexed by ``P.generator_index``.
     Rows are sorted as tuples of ``(column, value)`` items.  Before any is
-    built, the work is bounded: ``n`` cells per generator and position set.
+    built, the work is bounded by ``n`` cells per generator and position
+    set, more than the sub-multisets visited.
     """
     A, n = P.A, P.n
     if not (2 <= j_max <= n):
@@ -200,9 +193,10 @@ def relation_rows(P, j_max: int) -> SparseMatrix:
     rows = set()
     for gen in gens:
         for j in range(2, j_max + 1):
-            for positions in itertools.combinations(range(n), j):
-                head = [gen[p] for p in positions]
-                tail = [gen[p] for p in range(n) if p not in positions]
+            for head in set(itertools.combinations(gen, j)):
+                tail = list(gen)
+                for a in head:
+                    tail.remove(a)
                 row = {index[gen]: 1}
                 for t, a_i in enumerate(head):
                     if a_i in head[:t]:

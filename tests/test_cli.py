@@ -152,8 +152,8 @@ class TestExitCodes:
         # cells bound; so is the count C(6 * 10**6 - 1, 3 * 10**6), whose
         # exact value would take minutes to build; and so are two groups of
         # order 2**20000, as a presentation and as a table.  The relation
-        # rows of verify-prop71 visit about 2**n position sets per generator,
-        # and bng-structure's C(n, 2) per generator grows as n**3
+        # rows of verify-prop71 are priced at about 2**n position sets per
+        # generator, and bng-structure's C(n, 2) per generator grows as n**3
         twos = json.dumps([2] * 20000)
         symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'
         for argv in (
@@ -312,6 +312,24 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("input error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bng-reduce", "--class", "[[1],[1],[1]]"],
+            ["bng-equal", "--x", "[[1],[1],[1]]", "--y", "[[1],[2]]"],
+        ],
+        ids=["reduce", "equal"],
+    )
+    def test_class_of_wrong_size(self, argv, capsys):
+        # named as a size mismatch, not as a tuple that fails to generate
+        assert cli.run([*argv, "--group", Z3, "--n", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("input error: ")
+        assert err.count("\n") == 1
+        assert "3 characters" in err and "n = 2" in err
+        assert "generator" not in err
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("command", ["bng-structure", "verify-prop71"])

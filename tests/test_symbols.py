@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from burnside import (
@@ -285,3 +287,18 @@ class TestRestriction:
                             Hbar.char_value(res, h) * e
                             == H.char_value(a, h) * ebar
                         ), (c, a, h)
+
+    def test_kernel_restriction_detects_span(self, s4):
+        # duality, the blow-up's admissibility test: x lies in the span of D
+        # exactly when its restriction to the joint kernel of D is zero
+        label = Atom(name="k", trdeg=0)
+        for sub in s4._abelian_subgroups:
+            H = s4.subgroup(sub)
+            chars = list(H.structure.elements())
+            lists = [*((c,) for c in chars), *itertools.product(chars, repeat=2)]
+            for D in lists:
+                K = construction_a(s4, H, label, D)[0]
+                span = H.structure.subgroup_generated(D)
+                for x in chars:
+                    vanishes = not any(restrict_character(H, K, x))
+                    assert (x in span) == vanishes, (sub, D, x)
