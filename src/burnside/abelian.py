@@ -104,8 +104,7 @@ class AbelianGroup:
         )
 
     @staticmethod
-    def from_json(text: str) -> "AbelianGroup":
-        data = load_json(text, "group JSON")
+    def from_json_obj(data) -> "AbelianGroup":
         if not isinstance(data, dict) or "invariant_factors" not in data:
             raise InputError('group JSON must contain "invariant_factors"')
         facs = data["invariant_factors"]
@@ -115,6 +114,10 @@ class AbelianGroup:
             return AbelianGroup(tuple(facs))
         except InvariantError as exc:
             raise InputError(str(exc)) from exc
+
+    @staticmethod
+    def from_json(text: str) -> "AbelianGroup":
+        return AbelianGroup.from_json_obj(load_json(text, "group JSON"))
 
 
 def _pivots(rows, moduli) -> list[int]:

@@ -72,6 +72,7 @@ class FiniteGroup:
             raise InputError(f"element {g} has no inverse") from None
         if not _trusted:  # checked as tuples, kept as arrays
             self.cayley = tuple(array("H", row) for row in table)
+        self._subgroup_refs = {}
 
     # construction helpers ------------------------------------------------
 
@@ -118,14 +119,7 @@ class FiniteGroup:
         return tab[tab[g][h]][self.inverse[g]]
 
     def element_order(self, g: int) -> int:
-        k, cur = 1, g
-        while cur != self.identity:
-            cur = self.mul(cur, g)
-            k += 1
-        return k
-
-    def commute(self, a: int, b: int) -> bool:
-        return self.mul(a, b) == self.mul(b, a)
+        return _element_orders((g,), self.mul, self.identity)[g]
 
     def closure(self, gens) -> frozenset:
         seen = {self.identity}
@@ -139,12 +133,6 @@ class FiniteGroup:
                     seen.add(nxt)
                     frontier.append(nxt)
         return frozenset(seen)
-
-    def is_abelian_subset(self, elems) -> bool:
-        elems = tuple(elems)
-        return all(
-            self.commute(a, b) for a, b in itertools.combinations(elems, 2)
-        )
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -219,13 +207,8 @@ class FiniteGroup:
                 raise InputError('table group JSON needs integer arrays "cayley"')
             return FiniteGroup(data["cayley"])
         if kind == "abelian":
-            facs = data.get("invariant_factors")
-            if not is_int_rows([facs]):
-                raise InputError('"invariant_factors" must be a list of integers')
-            try:
-                return FiniteGroup.from_invariant_factors(facs)
-            except InvariantError as exc:
-                raise InputError(str(exc)) from exc
+            A = AbelianGroup.from_json_obj(data)
+            return FiniteGroup.from_invariant_factors(A.invariant_factors)
         raise InputError(f"unknown group type {kind!r}")
 
     # abelian subgroup machinery ------------------------------------------
@@ -319,22 +302,21 @@ class FiniteGroup:
                 )
         return info
 
-    @cached_property
-    def _subgroup_refs(self) -> dict:
-        return {}
-
     def subgroup(self, elems) -> "SubgroupRef":
         """The SubgroupRef for an abelian subgroup given by its elements."""
         key = tuple(sorted(set(elems)))
         refs = self._subgroup_refs
         if key not in refs:
+            if key and not 0 <= key[0] <= key[-1] < self.order:
+                raise InputError(f"subgroup elements must lie in 0..{self.order - 1}")
             # a finite nonempty set S with S S in S is a subgroup (G is one)
             tab, members = self.cayley, frozenset(key)
             if not key or key != tuple(range(self.order)) and not all(
                 members.issuperset(map(tab[a].__getitem__, key)) for a in key
             ):
                 raise InputError("element set is not closed under the group law")
-            if not (self.is_abelian or self.is_abelian_subset(key)):
+            # every abelian subgroup of a nonabelian group has a class entry
+            if not (self.is_abelian or key in self._class_info):
                 raise InvariantError("subgroup is not abelian")
             refs[key] = SubgroupRef(group=self, elements=key)
         return refs[key]
@@ -436,14 +418,13 @@ class SubgroupRef:
     def canonical_maps(self) -> tuple["SubgroupRef", tuple]:
         """The class representative R and the distinct dual maps from this
         subgroup's characters to R's, as tuples of rows: the
-        ``transport_characters`` maps by x g for x in (identity, *N(R)), g the
-        least conjugator, in the order of the first x that gives each.  The
+        ``transport_characters`` maps by x g for x in N(R), g the least
+        conjugator, in the order of the first x that gives each.  The
         transport by x g is the action of x after the transport by g."""
         G = self.group
         rep, g = G.class_representative(self.elements)
         R = G.subgroup(rep)
-        xs = (G.identity, *R.normalizer)
-        mats = (transport_characters(G, self, R, G.mul(x, g)) for x in xs)
+        mats = (transport_characters(G, self, R, G.mul(x, g)) for x in R.normalizer)
         return R, tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
 
     @property

@@ -116,6 +116,8 @@ class Symbol:
     ambient_n: int
 
     def __post_init__(self):
+        if self.group is not self.subgroup.group:
+            raise InvariantError("subgroup belongs to another group")
         A = self.subgroup.structure
         beta = tuple(A.reduce(b) for b in self.beta)
         object.__setattr__(self, "beta", beta)

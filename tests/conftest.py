@@ -301,6 +301,13 @@ def abelian_subgroups_by_scan(G) -> list:
     return sorted(tuple(sorted(s)) for s in found)
 
 
+def commutes_pairwise(G, elems) -> bool:
+    """Whether every two of ``elems`` commute, compared cell by cell in the
+    Cayley table."""
+    tab = G.cayley
+    return all(tab[a][b] == tab[b][a] for a, b in itertools.combinations(elems, 2))
+
+
 def nonassociative_triples(table) -> list:
     """Every (a, b, c) with (a b) c != a (b c)."""
     n = len(table)

@@ -20,6 +20,7 @@ from burnside.groups import MAX_GROUP_ORDER
 from conftest import (
     abelian_subgroups_by_scan,
     class_info_by_conjugation,
+    commutes_pairwise,
     compose_permutations,
     conjugate_by_scan,
     is_associative_by_triples,
@@ -138,6 +139,7 @@ class TestConstruction:
             "[1]",
             '{"type": "nope"}',
             '{"type": "table"}',
+            '{"type": "abelian"}',
             '{"type": "abelian", "invariant_factors": [4, 2]}',
         ):
             with pytest.raises(InputError):
@@ -182,11 +184,7 @@ class TestAgainstOracles:
         G = _built(name)
         assert G._abelian_subgroups == abelian_subgroups_by_scan(G)
 
-    def test_s5_table_subgroups_without_commute(self, monkeypatch):
-        def refuse(self, a, b):
-            raise AssertionError("commute called")
-
-        monkeypatch.setattr(FiniteGroup, "commute", refuse)
+    def test_s5_table_subgroups_without_commute(self):
         G = FiniteGroup([list(row) for row in _oracle_table("s5")])
         assert len(G._abelian_subgroups) == 87
 
@@ -317,15 +315,20 @@ class TestSubgroups:
         assert G._class_info == class_info_by_conjugation(G)
 
     def test_abelian_group_subgroups_skip_pairwise_test(self, monkeypatch):
+        # an abelian group accepts any closed set without enumerating classes
         G = FiniteGroup.from_invariant_factors((2, 30))
-        monkeypatch.setattr(FiniteGroup, "commute", None)
+
+        def refuse(self):
+            raise AssertionError("abelian subgroups enumerated")
+
+        monkeypatch.setattr(FiniteGroup, "_abelian_subgroups", property(refuse))
         assert G.subgroup(range(G.order)).order == 60
         assert G.subgroup(G.closure([7])).order == G.element_order(7)
 
     def test_is_abelian_matches_pairwise_test(self, request):
         for name in ("d8", "s4", "a5", "z2^4", "z60"):
             G = _group(request, name)
-            assert G.is_abelian == G.is_abelian_subset(range(G.order))
+            assert G.is_abelian == commutes_pairwise(G, range(G.order))
             assert G.is_abelian is G.__dict__["is_abelian"]  # cached
 
     def test_class_data_conjugates_once_per_class(self, monkeypatch):
@@ -359,6 +362,9 @@ class TestSubgroups:
         monkeypatch.setattr("burnside.groups.MAX_ABELIAN_SUBGROUPS", 8)
         with pytest.raises(SizeError):
             FiniteGroup.from_permutations(4, D8_GENERATORS)._abelian_subgroups
+        # a nonabelian group reads abelian-ness off the class enumeration
+        with pytest.raises(SizeError):
+            FiniteGroup.from_permutations(4, D8_GENERATORS).subgroup([0])
 
     def test_subgroup_rejects_bad_input(self, d8, d8_parts):
         rho = d8_parts["rho"]
@@ -369,6 +375,13 @@ class TestSubgroups:
         with pytest.raises(InputError):
             d8.subgroup([])
 
+    @pytest.mark.parametrize("elems", [[0, 2], [-1, 0, 1]])
+    def test_subgroup_rejects_indices_out_of_range(self, elems):
+        # [-1, 0, 1] would pass the closure test by negative indexing
+        G = FiniteGroup([[0, 1], [1, 0]])
+        with pytest.raises(InputError, match=r"0\.\.1"):
+            G.subgroup(elems)
+
     def test_subgroup_is_interned(self, d8, d8_parts):
         # one object per element set, whatever the order or repetition
         H = d8_parts["H"]
@@ -378,18 +391,21 @@ class TestSubgroups:
 
     def test_subgroup_closure_test_matches_bfs(self, d8):
         # every nonempty subset of D8 is accepted exactly when the BFS
-        # closure of its elements is itself
+        # closure of its elements is itself, and refused as not abelian
+        # exactly when it is closed and two of its elements do not commute
         for k in range(1, d8.order + 1):
             for elems in itertools.combinations(range(d8.order), k):
                 closed = d8.closure(elems) == frozenset(elems)
                 try:
                     d8.subgroup(elems)
-                    accepted = True
+                    accepted, abelian = True, True
                 except InputError:
-                    accepted = False
+                    accepted, abelian = False, None
                 except InvariantError:  # closed, but not abelian
-                    accepted = True
+                    accepted, abelian = True, False
                 assert accepted == closed, elems
+                if closed:
+                    assert abelian == commutes_pairwise(d8, elems), elems
 
     def test_structure_and_coords(self, d8, d8_parts):
         H = d8_parts["H"]

@@ -107,6 +107,17 @@ class TestSymbolInvariants:
                 ambient_n=2,
             )
 
+    def test_subgroup_of_another_group_rejected(self, s4, d8_parts):
+        # the Klein subgroup of D8 named with S4 as its group
+        with pytest.raises(InvariantError, match="another group"):
+            Symbol(
+                group=s4,
+                subgroup=d8_parts["H"],
+                field_label=Atom(name="k", trdeg=0),
+                beta=((1, 0), (0, 1)),
+                ambient_n=2,
+            )
+
     def test_weights_reduced_mod_factors(self):
         s = full_group_symbol((3,), [(4,), (2,)], 2)
         assert s.beta == ((1,), (2,))
