@@ -150,11 +150,18 @@ def _pivots(rows, moduli) -> list[int]:
 
 
 def generates(A: AbelianGroup, beta) -> bool:
-    """Whether the characters in ``beta`` generate all of ``A``: whether
-    they span Z^r together with the relations n_i e_i."""
+    """Whether the characters in ``beta`` generate all of ``A``, each
+    validated and reduced first."""
+    return generates_reduced(A, [A.reduce(b) for b in beta])
+
+
+def generates_reduced(A: AbelianGroup, beta) -> bool:
+    """Whether the reduced characters in ``beta`` generate all of ``A``:
+    whether they span Z^r together with the relations n_i e_i.  Nothing
+    is validated; callers pass characters already of length r."""
     facs, r = A.invariant_factors, A.rank
     relations = ((0,) * i + (n,) + (0,) * (r - 1 - i) for i, n in enumerate(facs))
-    return _pivots([*map(A.reduce, beta), *relations], facs) == [1] * r
+    return _pivots([*beta, *relations], facs) == [1] * r
 
 
 def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
@@ -174,7 +181,7 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
         raise PreconditionError(
             f"wedge comparison needs tuples of length rank = {d}"
         )
-    if not generates(A, beta) or not generates(A, gamma):
+    if not generates_reduced(A, beta) or not generates_reduced(A, gamma):
         raise PreconditionError("wedge comparison requires generating tuples")
     if d == 0:
         return True

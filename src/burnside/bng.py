@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abelian import AbelianGroup, generates
+from .abelian import AbelianGroup, generates_reduced
 from .errors import DomainError, InputError, ProvenanceError, SizeError
 from .relations import MAX_RELATION_CELLS, relation_rows
 from .symbols import Atom, ConstrA, Symbol
@@ -47,7 +47,8 @@ def enumerate_generators(A: AbelianGroup, n: int):
             f"the bound {MAX_RELATION_CELLS}"
         )
     combos = itertools.combinations_with_replacement(A.elements(), n)
-    return [combo for combo in combos if generates(A, combo)]
+    # the elements are reduced characters: test without validation
+    return [combo for combo in combos if generates_reduced(A, combo)]
 
 
 @dataclass(eq=False)

@@ -304,9 +304,16 @@ class FiniteGroup:
 
     def subgroup(self, elems) -> "SubgroupRef":
         """The SubgroupRef for an abelian subgroup given by its elements."""
-        key = tuple(sorted(set(elems)))
+        try:
+            key = tuple(sorted(set(elems)))
+        except TypeError:
+            raise InputError("subgroup elements must be integers") from None
         refs = self._subgroup_refs
         if key not in refs:
+            # only a miss interns the key; a hit on float keys (0.0 == 0)
+            # returns the ref with int elements
+            if any(type(g) is not int for g in key):
+                raise InputError("subgroup elements must be integers")
             if key and not 0 <= key[0] <= key[-1] < self.order:
                 raise InputError(f"subgroup elements must lie in 0..{self.order - 1}")
             # a finite nonempty set S with S S in S is a subgroup (G is one)

@@ -52,8 +52,12 @@ class TestEnumeration:
             with pytest.raises(InputError, match=f"dimension n = {n} must"):
                 BnGPresentation(AbelianGroup((3,)), n).relation_matrix
 
-    @pytest.mark.parametrize("factors,n", [((12,), 3), ((2, 2), 4)])
+    @pytest.mark.parametrize(
+        "factors,n",
+        [((12,), 3), ((2, 2), 4), ((3, 6), 2), ((2, 4), 3), ((2, 2, 2), 3)],
+    )
     def test_matches_closure_filter(self, factors, n):
+        # the unvalidated generation test against the BFS span
         A = AbelianGroup(factors)
         want = [
             combo

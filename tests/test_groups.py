@@ -382,6 +382,22 @@ class TestSubgroups:
         with pytest.raises(InputError, match=r"0\.\.1"):
             G.subgroup(elems)
 
+    @pytest.mark.parametrize(
+        "elems", [[0.0, 1.0], [0, 1.0], ["a"], [True, 0], [[0]]]
+    )
+    def test_subgroup_rejects_non_integer_elements(self, elems):
+        # [0.0, 1.0] equals the key of the whole group, so it would skip
+        # the closure test and be interned with float elements
+        G = FiniteGroup([[0, 1], [1, 0]])
+        with pytest.raises(InputError, match="integers"):
+            G.subgroup(elems)
+        assert G._subgroup_refs == {}
+        H = G.subgroup([0, 1])
+        assert H.elements == (0, 1) and all(type(g) is int for g in H.elements)
+        assert H.structure.invariant_factors == (2,)
+        # once interned, equal float keys find the int ref
+        assert G.subgroup([1.0, 0.0]) is H
+
     def test_subgroup_is_interned(self, d8, d8_parts):
         # one object per element set, whatever the order or repetition
         H = d8_parts["H"]

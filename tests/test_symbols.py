@@ -107,6 +107,16 @@ class TestSymbolInvariants:
                 ambient_n=2,
             )
 
+    def test_unreduced_non_generating_weights_rejected(self, d8, d8_parts):
+        # (3, 0) and (1, 2) both reduce to (1, 0) on Z/2 x Z/2
+        with pytest.raises(InvariantError, match="generate"):
+            d8_klein_symbol(d8, d8_parts, beta=((3, 0), (1, 2)))
+
+    @pytest.mark.parametrize("beta", [((1, 0, 0), (0, 1)), ((1,), (0, 1))])
+    def test_wrong_length_weights_rejected(self, d8, d8_parts, beta):
+        with pytest.raises(InputError, match="length"):
+            d8_klein_symbol(d8, d8_parts, beta=beta)
+
     def test_subgroup_of_another_group_rejected(self, s4, d8_parts):
         # the Klein subgroup of D8 named with S4 as its group
         with pytest.raises(InvariantError, match="another group"):
