@@ -4,7 +4,6 @@ from .abelian import (
     AbelianGroup,
     apply_dual,
     character_action,
-    generates,
     transport_characters,
     wedge_equivalent,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "equal_classes",
     "expand_b2",
     "expand_prop46",
-    "generates",
     "group_structure",
     "project_symbol",
     "project_sum",

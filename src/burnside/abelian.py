@@ -149,12 +149,6 @@ def _pivots(rows, moduli) -> list[int]:
     return pivots
 
 
-def generates(A: AbelianGroup, beta) -> bool:
-    """Whether the characters in ``beta`` generate all of ``A``, each
-    validated and reduced first."""
-    return generates_reduced(A, [A.reduce(b) for b in beta])
-
-
 def generates_reduced(A: AbelianGroup, beta) -> bool:
     """Whether the reduced characters in ``beta`` generate all of ``A``:
     whether they span Z^r together with the relations n_i e_i.  Nothing

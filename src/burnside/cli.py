@@ -168,28 +168,35 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED, _INTEGER = dict(required=True), dict(type=int, required=True)
+_GROUP_N = {"--group": _REQUIRED, "--n": _INTEGER}
+_XY = {"--x": _REQUIRED, "--y": _REQUIRED}
+_SYMBOL = {"--group": _REQUIRED, "--symbol": _REQUIRED}
+
+# subcommand name -> (handler, flag -> add_argument keywords), in help order
+COMMANDS = {
+    "bng-structure": (_cmd_bng_structure,
+                      {**_GROUP_N, "--format": dict(choices=("json", "csv"), default="json")}),
+    "bng-reduce": (_cmd_bng_reduce, {**_GROUP_N, "--class": dict(required=True, dest="cls")}),
+    "bng-equal": (_cmd_bng_equal, {**_GROUP_N, **_XY}),
+    "expand": (_cmd_expand, {**_SYMBOL, "--i": _INTEGER, "--j": _INTEGER}),
+    "canon": (_cmd_canon, _SYMBOL),
+    "verify-prop71": (_cmd_verify_prop71, _GROUP_N),
+    "example-d8": (_cmd_example_d8, {}),
+    "wedge": (_cmd_wedge, {"--group": _REQUIRED, **_XY}),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """A parser with only the subcommand ``argv[0]`` names; with all of
+    them when it names none, for root help and the invalid-choice error."""
     parser = _Parser(
         prog="burnside",
         description="Exact symbol calculus for equivariant Burnside groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    required, integer = dict(required=True), dict(type=int, required=True)
-    group_n = {"--group": required, "--n": integer}
-    xy = {"--x": required, "--y": required}
-    symbol = {"--group": required, "--symbol": required}
-    for name, func, flags in (
-        ("bng-structure", _cmd_bng_structure,
-         {**group_n, "--format": dict(choices=("json", "csv"), default="json")}),
-        ("bng-reduce", _cmd_bng_reduce,
-         {**group_n, "--class": dict(required=True, dest="cls")}),
-        ("bng-equal", _cmd_bng_equal, {**group_n, **xy}),
-        ("expand", _cmd_expand, {**symbol, "--i": integer, "--j": integer}),
-        ("canon", _cmd_canon, symbol),
-        ("verify-prop71", _cmd_verify_prop71, group_n),
-        ("example-d8", _cmd_example_d8, {}),
-        ("wedge", _cmd_wedge, {"--group": required, **xy}),
-    ):
+    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
+        func, flags = COMMANDS[name]
         p = sub.add_parser(name)
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
@@ -198,7 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         sys.stdout.write(args.func(args))

@@ -427,12 +427,17 @@ class SubgroupRef:
         subgroup's characters to R's, as tuples of rows: the
         ``transport_characters`` maps by x g for x in N(R), g the least
         conjugator, in the order of the first x that gives each.  The
-        transport by x g is the action of x after the transport by g."""
+        transport by x g is the action of x after the transport by g, so
+        two x give the same map exactly when they act alike on R's basis:
+        one transport per coset of R's centralizer."""
         G = self.group
         rep, g = G.class_representative(self.elements)
         R = G.subgroup(rep)
-        mats = (transport_characters(G, self, R, G.mul(x, g)) for x in R.normalizer)
-        return R, tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
+        firsts = {}
+        for x in R.normalizer:
+            firsts.setdefault(tuple(G.conj(x, b) for b in R.basis), x)
+        mats = (transport_characters(G, self, R, G.mul(x, g)) for x in firsts.values())
+        return R, tuple(tuple(map(tuple, mat)) for mat in mats)
 
     @property
     def structure(self) -> AbelianGroup:

@@ -19,6 +19,14 @@ from burnside import (
     SparseMatrix,
     Symbol,
 )
+from burnside.abelian import generates_reduced
+
+
+def generates(A, beta) -> bool:
+    """Whether the characters in ``beta`` generate all of ``A``, each
+    validated and reduced first (``generates_reduced`` leaves that to its
+    callers)."""
+    return generates_reduced(A, [A.reduce(b) for b in beta])
 
 
 def laplace_det(rows):

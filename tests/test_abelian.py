@@ -9,11 +9,10 @@ from burnside import (
     InputError,
     InvariantError,
     PreconditionError,
-    generates,
     wedge_equivalent,
 )
 from burnside.abelian import _pivots
-from conftest import laplace_det, minor_gcd, sparse_matrix
+from conftest import generates, laplace_det, minor_gcd, sparse_matrix
 
 # primes with a product past 10**12
 P, Q = 1000003, 1000033

@@ -27,7 +27,7 @@ from burnside import (
     wedge_equivalent,
 )
 from burnside.cli import emit_table
-from conftest import abs_det, dense_rows, matmul, minor_gcd, sparse_matrix
+from conftest import abs_det, dense_rows, generates, matmul, minor_gcd, sparse_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -197,8 +197,6 @@ def test_criterion_6_wedge_suite():
             tuple(rng.randrange(5) for _ in range(2)),
             tuple(rng.randrange(5) for _ in range(2)),
         ]
-        from burnside import generates
-
         if not generates(A, x):
             continue
         swapped = [x[1], x[0]]

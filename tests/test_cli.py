@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import cli
+from burnside import InputError, cli
 from conftest import compose_permutations, permutation_closure, table_by_composition
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,52 +28,52 @@ def run_cli(*args, stdin=None):
     )
 
 
-class TestGolden:
-    @pytest.mark.parametrize(
-        "name,args",
+GOLDEN_CASES = [
+    ("bng_structure_z3_n2.json", ["bng-structure", "--group", Z3, "--n", "2"]),
+    (
+        "bng_structure_z3_n2.csv",
+        ["bng-structure", "--group", Z3, "--n", "2", "--format", "csv"],
+    ),
+    (
+        "verify_prop71_z2_n2.json",
+        ["verify-prop71", "--group", '{"invariant_factors":[2]}', "--n", "2"],
+    ),
+    ("example_d8.json", ["example-d8"]),
+    (
+        "wedge_z5z5.json",
         [
-            ("bng_structure_z3_n2.json", ["bng-structure", "--group", Z3, "--n", "2"]),
-            (
-                "bng_structure_z3_n2.csv",
-                ["bng-structure", "--group", Z3, "--n", "2", "--format", "csv"],
-            ),
-            (
-                "verify_prop71_z2_n2.json",
-                ["verify-prop71", "--group", '{"invariant_factors":[2]}', "--n", "2"],
-            ),
-            ("example_d8.json", ["example-d8"]),
-            (
-                "wedge_z5z5.json",
-                [
-                    "wedge",
-                    "--group",
-                    '{"invariant_factors":[5,5]}',
-                    "--x",
-                    "[[1,0],[0,1]]",
-                    "--y",
-                    "[[0,1],[1,0]]",
-                ],
-            ),
-            (
-                "bng_reduce_z3.json",
-                ["bng-reduce", "--group", Z3, "--n", "2", "--class", "[[1],[1]]"],
-            ),
-            (
-                # a Klein four-subgroup of S4 that is not its class's
-                # representative: transport by a conjugator, then N(R)
-                "canon_s4_conjugate.json",
-                [
-                    "canon",
-                    "--group",
-                    '{"type":"permutation","degree":4,'
-                    '"generators":[[1,0,2,3],[1,2,3,0]]}',
-                    "--symbol",
-                    '{"subgroup":[0,5,17,18],"field":{"atom":{"name":"k","trdeg":0}},'
-                    '"beta":[[0,1],[1,0]],"n":2}',
-                ],
-            ),
+            "wedge",
+            "--group",
+            '{"invariant_factors":[5,5]}',
+            "--x",
+            "[[1,0],[0,1]]",
+            "--y",
+            "[[0,1],[1,0]]",
         ],
-    )
+    ),
+    (
+        "bng_reduce_z3.json",
+        ["bng-reduce", "--group", Z3, "--n", "2", "--class", "[[1],[1]]"],
+    ),
+    (
+        # a Klein four-subgroup of S4 that is not its class's
+        # representative: transport by a conjugator, then N(R)
+        "canon_s4_conjugate.json",
+        [
+            "canon",
+            "--group",
+            '{"type":"permutation","degree":4,'
+            '"generators":[[1,0,2,3],[1,2,3,0]]}',
+            "--symbol",
+            '{"subgroup":[0,5,17,18],"field":{"atom":{"name":"k","trdeg":0}},'
+            '"beta":[[0,1],[1,0]],"n":2}',
+        ],
+    ),
+]
+
+
+class TestGolden:
+    @pytest.mark.parametrize("name,args", GOLDEN_CASES)
     def test_byte_exact(self, name, args):
         proc = run_cli(*args)
         assert proc.returncode == 0, proc.stderr
@@ -559,3 +560,85 @@ class TestFuzz:
             code = cli.run(argv)
         assert code in (0, 2, 3)
         assert err.getvalue().count("\n") <= 1
+
+
+def _parse(parser, argv):
+    """What a parser makes of argv: the namespace, the usage error, or the
+    help text and exit code."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return vars(parser.parse_args(argv))
+    except InputError as exc:
+        return str(exc)
+    except SystemExit as exc:
+        return exc.code, out.getvalue()
+
+
+PARSE_ARGVS = [
+    [],
+    ["--help"],
+    ["-h", "bng-structure"],
+    ["bogus"],
+    ["bng-structure", "--group", Z3],
+    ["bng-structure", "--group", Z3, "--n", "x"],
+    ["bng-structure", "--group", Z3, "--n", "2", "--format", "xml"],
+    ["bng-structure", "--group", Z3, "--n", "2", "extra"],
+    ["canon", "--group", "x", "--symbol", "y", "--format", "csv"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    *(args for _, args in GOLDEN_CASES),
+]
+
+
+class TestParserPerCommand:
+    """A call builds only the subcommand its first argument names, and
+    that parser answers every command line as the full parser does."""
+
+    @pytest.mark.parametrize("argv", PARSE_ARGVS)
+    def test_same_as_full_parser(self, argv):
+        got = _parse(cli.build_parser(argv), argv)
+        assert got == _parse(cli.build_parser(), argv)
+
+    def test_named_command_builds_one_subparser(self, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        for name in cli.COMMANDS:
+            built.clear()
+            cli.build_parser([name, "--help"])
+            assert built == [name]
+        for argv in ([], ["--help"], ["bogus"], ["-h", "canon"]):
+            built.clear()
+            cli.build_parser(argv)
+            assert built == list(cli.COMMANDS)
+
+    def test_full_parser_lists_the_table_in_order(self):
+        (sub,) = (
+            a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        assert len(cli.COMMANDS) == 8
+        assert list(sub.choices) == list(cli.COMMANDS)
+
+    def test_every_run_builds_its_own_parser(self, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting(argv=()):
+            built.append(build_parser(argv))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        argv = ["bng-structure", "--group", Z3, "--n", "2"]
+        assert [cli.run(argv) for _ in range(3)] == [0, 0, 0]
+        assert len(built) == 3 and len({id(p) for p in built}) == 3
+
+    def test_run_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["burnside", "example-d8"])
+        assert cli.run() == 0
+        assert capsys.readouterr().out == (GOLDEN / "example_d8.json").read_text()

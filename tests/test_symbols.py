@@ -16,6 +16,7 @@ from burnside import (
     conjugate_symbol,
     construction_a,
     restrict_character,
+    transport_characters,
 )
 from burnside.symbols import (
     field_from_json_obj,
@@ -27,6 +28,7 @@ from conftest import (
     _moved_characters,
     canonicalize_reference,
     conjugate_by_scan,
+    dihedral_d12,
     full_group_symbol,
     least_conjugator_by_scan,
     normalizer_by_scan,
@@ -258,6 +260,19 @@ class TestCachedSubgroupData:
                 for x in normalizer_by_scan(G, rep)
             }
             assert len(got) == len(want) and set(got) == want, elems
+
+    @pytest.mark.parametrize("name", ["S4", "D12"])
+    def test_canonical_maps_match_per_element_transport(self, name, s4):
+        """One transport per coset of R's centralizer in N(R) gives the
+        tuple that one transport per element of N(R) gives, in its order."""
+        G = s4 if name == "S4" else dihedral_d12()
+        for elems in G._abelian_subgroups:
+            H = G.subgroup(elems)
+            rep, g = G.class_representative(elems)
+            R = G.subgroup(rep)
+            mats = (transport_characters(G, H, R, G.mul(x, g)) for x in R.normalizer)
+            want = tuple(dict.fromkeys(tuple(map(tuple, mat)) for mat in mats))
+            assert H.canonical_maps == (R, want), elems
 
     @pytest.mark.parametrize("name", SYMBOL_ORACLE_GROUPS)
     def test_canonical_form_matches_scan(self, name):
