@@ -32,7 +32,6 @@ from .groups import (
 )
 from .relations import (
     ExpansionReport,
-    apply_b1,
     expand_b2,
     expand_prop46,
     relation_rows,
@@ -50,7 +49,6 @@ from .symbols import (
 )
 from .zlinalg import (
     SparseMatrix,
-    row_space_equal,
     smith_normal_form,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "SubgroupRef",
     "Symbol",
     "SymbolSum",
-    "apply_b1",
     "apply_dual",
     "canonicalize_symbol",
     "character_action",
@@ -90,7 +87,6 @@ __all__ = [
     "reduce_class",
     "relation_rows",
     "restrict_character",
-    "row_space_equal",
     "smith_normal_form",
     "transport_characters",
     "wedge_equivalent",

@@ -12,7 +12,6 @@ along conjugation, restriction) are matrices on these vectors.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -96,12 +95,6 @@ class AbelianGroup:
                     seen.add(nxt)
                     frontier.append(nxt)
         return frozenset(seen)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"invariant_factors": list(self.invariant_factors)},
-            separators=(",", ":"),
-        )
 
     @staticmethod
     def from_json_obj(data) -> "AbelianGroup":

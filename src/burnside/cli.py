@@ -22,7 +22,6 @@ from .errors import BurnsideError, InputError, SizeError, is_int_rows, load_json
 from .groups import FiniteGroup
 from .relations import expand_b2, relation_rows
 from .symbols import Atom, Symbol, canonicalize_symbol
-from .zlinalg import row_space_equal
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -114,9 +113,14 @@ def _cmd_canon(args) -> str:
 
 
 def _cmd_verify_prop71(args) -> str:
+    # all rows span what the j = 2 rows span when the j >= 3 rows lie in their
+    # lattice (none at n <= 2).  n < 1 and the candidate bound fail on the
+    # generators, and the j >= 3 rows are priced, before a j = 2 row is built
     P = BnGPresentation(_abelian_group(args.group), args.n)
-    equal = args.n == 1 or row_space_equal(P.relation_matrix, relation_rows(P, args.n))
-    return _dump({"row_spaces_equal": equal})
+    if args.n == 1 or not P.generators or args.n == 2:
+        return _dump({"row_spaces_equal": True})
+    rows = relation_rows(P, args.n, 3)
+    return _dump({"row_spaces_equal": P.smith_form.contains(rows)})
 
 
 def d8_example_report() -> dict:

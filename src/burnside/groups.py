@@ -328,9 +328,6 @@ class FiniteGroup:
             refs[key] = SubgroupRef(group=self, elements=key)
         return refs[key]
 
-    def full_subgroup(self) -> "SubgroupRef":
-        return self.subgroup(range(self.order))
-
     def abelian_subgroup_classes(self) -> list["SubgroupRef"]:
         """One representative per conjugacy class of abelian subgroups."""
         reps = sorted(

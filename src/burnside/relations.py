@@ -68,16 +68,6 @@ def _has_inverse_pair(A: AbelianGroup, beta) -> bool:
     return False
 
 
-def apply_b1(x: SymbolSum) -> SymbolSum:
-    """Drop every symbol whose weights contain a character and its inverse."""
-    kept = {
-        sym: c
-        for sym, c in x.terms.items()
-        if not _has_inverse_pair(sym.subgroup.structure, sym.beta)
-    }
-    return SymbolSum(kept, _canonical=True)
-
-
 def expand_b2(s: Symbol, i: int, j: int) -> ExpansionReport:
     """Blow-up expansion of a symbol at the weight pair ``(i, j)``: the
     multi-index relation at j = 2 on the weights ``(beta_i, beta_j, rest)``.
@@ -164,20 +154,20 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     return SymbolSum(out, _canonical=True)
 
 
-def relation_rows(P, j_max: int) -> SparseMatrix:
+def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     """Sparse relation matrix over the generators of a tuple-group presentation.
 
     ``P`` supplies the group ``A``, the dimension ``n``, the generators and
-    their index.  One deduplicated row per generator, ``j <= j_max`` and
-    sub-multiset of ``j`` of its characters: the generator minus the sum of
-    its transformed tuples, with coordinates indexed by ``P.generator_index``.
-    Rows are sorted as tuples of ``(column, value)`` items.  Before any is
-    built, the work is bounded by ``n`` cells per generator and position
-    set, more than the sub-multisets visited.
+    their index.  One deduplicated row per generator, j from ``j_min`` to
+    ``j_max`` and sub-multiset of j of its characters: the generator minus
+    the sum of its transformed tuples, columns by ``P.generator_index``, rows
+    sorted as tuples of ``(column, value)`` items.  Before any is built, the
+    work of every j from 2 to ``j_max`` is bounded by ``n`` cells per
+    generator and position set, more than the sub-multisets visited.
     """
     A, n = P.A, P.n
-    if not (2 <= j_max <= n):
-        raise InputError(f"j_max = {j_max} must satisfy 2 <= j_max <= {n}")
+    if not (2 <= j_min <= j_max <= n):
+        raise InputError(f"need 2 <= j_min = {j_min} <= j_max = {j_max} <= n = {n}")
     gens = P.generators
     cells = 0
     for j in range(2, j_max + 1):
@@ -192,7 +182,7 @@ def relation_rows(P, j_max: int) -> SparseMatrix:
     facs = A.invariant_factors
     rows = set()
     for gen in gens:
-        for j in range(2, j_max + 1):
+        for j in range(j_min, j_max + 1):
             for head in set(itertools.combinations(gen, j)):
                 tail = list(gen)
                 for a in head:

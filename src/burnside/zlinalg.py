@@ -4,8 +4,8 @@ One matrix type, sparse rows, and one kernel: Smith divisors in plain
 Python ints, so coefficient growth is harmless, by unit pivots in a
 fill-reducing order and a dense loop on the block left, with no
 transform.  Columns of the transform are built on request from the pivots
-and the block that elimination recorded; nothing is eliminated twice.
-Row lattices are compared by divisors alone.
+and the block that elimination recorded, and row-lattice membership is a
+forward solve over the same record; nothing is eliminated twice.
 """
 
 from __future__ import annotations
@@ -104,6 +104,16 @@ def _dense_smith(a, vcols) -> list[int]:
     return [a[k][k] for k in range(t)]
 
 
+def _block_divisors(block, cols) -> list[int]:
+    """The nonzero Smith divisors of the sparse rows ``block`` on the
+    columns ``cols``, by the dense loop transposed if that makes it tall,
+    with an empty transform column per column: V is not carried."""
+    a = [[row.get(j, 0) for j in cols] for row in block]
+    if len(a) < len(cols):  # row operations are the cheaper ones
+        a = [list(col) for col in zip(*a)]
+    return _dense_smith(a, [[]] * (len(a[0]) if a else 0))
+
+
 def _has_unit(row: dict) -> bool:
     return 1 in row.values() or -1 in row.values()
 
@@ -139,6 +149,42 @@ class SmithForm:
                 row = [y - x * v for y, v in zip(row, rows[j])]
             rows[c] = row
         return tuple(map(tuple, rows))
+
+    def contains(self, M: SparseMatrix) -> bool:
+        """Whether every row of ``M`` lies in the row lattice this form was
+        computed from.  A pivot row is +1 at its column c and elsewhere only
+        on columns not yet pivoted when it was dropped, so a row is reduced
+        by forward substitution: the pivots it reaches, from a heap in
+        elimination order, each subtracted x[c] times.  What is left lies on
+        the residual columns, and is in the lattice exactly when stacking it
+        under the residual block keeps the block's divisors: Z^cols / L maps
+        onto Z^cols / (L + left), and a surjection between isomorphic
+        finitely generated abelian groups is an isomorphism."""
+        if M.num_cols != len(self.divisors):
+            raise InputError("contains requires the form's column count")
+        step = {c: s for s, (c, _) in enumerate(self.pivots)}
+        left = []
+        for row in map(dict, M.entries):
+            heap = sorted(step[j] for j in row if j in step)
+            while heap:
+                c, subst = self.pivots[heapq.heappop(heap)]
+                q = row.pop(c, 0)
+                if not q:  # cancelled on the way
+                    continue
+                for j, x in subst:
+                    if j in step and j not in row:
+                        heapq.heappush(heap, step[j])
+                    row[j] = row.get(j, 0) - q * x
+                    if not row[j]:
+                        del row[j]
+            if row:
+                left.append(row)
+        if not left:
+            return True
+        block = self.residual[1] + tuple(left)
+        cols = sorted({j for row in block for j in row})
+        # the block's divisors are the ones after the pivots' units
+        return _block_divisors(block, cols) == [d for d in self.divisors[len(self.pivots):] if d]
 
 
 def _eliminate(rows, in_col, p, c, heap) -> None:
@@ -194,33 +240,6 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
     pivoted = {c for c, _ in pivots}
     residual = (tuple(j for j in range(M.num_cols) if j not in pivoted), block)
     cols = [j for j, held in enumerate(in_col) if held]
-    a = [[row.get(j, 0) for j in cols] for row in block]
-    if len(a) < len(cols):  # row operations are the cheaper ones
-        a = [list(col) for col in zip(*a)]
-    # an empty transform column per block column: V is not carried
-    divisors = [1] * len(pivots) + _dense_smith(a, [[]] * (len(a[0]) if a else 0))
+    divisors = [1] * len(pivots) + _block_divisors(block, cols)
     divisors += [0] * (M.num_cols - len(divisors))
     return SmithForm(divisors, tuple(pivots), residual)
-
-
-def row_space_equal(M1: SparseMatrix, M2: SparseMatrix) -> bool:
-    """Whether two sparse matrices span the same sublattice of Z^cols.
-
-    The lattices L1 and L2 are equal exactly when M1, M2 and their stacked
-    rows have the same Smith divisors: Z^cols / L1 maps onto
-    Z^cols / (L1 + L2), and a surjection between isomorphic finitely
-    generated abelian groups is an isomorphism.  When one row set contains
-    the other, the stacked rows span the larger lattice, so its Smith form
-    is not computed.  Equal divisors alone would not do: [[2, 0], [0, 1]]
-    and [[1, 0], [0, 2]] share them.
-    """
-    if M1.num_cols != M2.num_cols:
-        raise InputError("row_space_equal requires equal column counts")
-    divisors = smith_normal_form(M1).divisors
-    if smith_normal_form(M2).divisors != divisors:
-        return False
-    rows1, rows2 = set(M1.entries), set(M2.entries)
-    if rows1 <= rows2 or rows2 <= rows1:
-        return True
-    stacked = SparseMatrix(M1.entries + M2.entries, M1.num_cols)
-    return smith_normal_form(stacked).divisors == divisors

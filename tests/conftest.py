@@ -3,6 +3,7 @@
 import functools
 import importlib.util
 import itertools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -18,6 +19,8 @@ from burnside import (
     FiniteGroup,
     SparseMatrix,
     Symbol,
+    SymbolSum,
+    smith_normal_form,
 )
 from burnside.abelian import generates_reduced
 
@@ -27,6 +30,50 @@ def generates(A, beta) -> bool:
     validated and reduced first (``generates_reduced`` leaves that to its
     callers)."""
     return generates_reduced(A, [A.reduce(b) for b in beta])
+
+
+def group_json(A) -> str:
+    """The compact JSON of an abelian group, as the command line reads it."""
+    return json.dumps({"invariant_factors": list(A.invariant_factors)}, separators=(",", ":"))
+
+
+def full_subgroup(G):
+    """The subgroup of every element of ``G``."""
+    return G.subgroup(range(G.order))
+
+
+def apply_b1(x):
+    """``x`` without every symbol whose weights hold a character and its
+    inverse (at two different positions)."""
+
+    def inverse_pair(sym):
+        A, beta = sym.subgroup.structure, sym.beta
+        return any(A.neg(a) in beta[:i] + beta[i + 1 :] for i, a in enumerate(beta))
+
+    return SymbolSum({s: c for s, c in x.terms.items() if not inverse_pair(s)}, _canonical=True)
+
+
+def row_space_equal(M1, M2) -> bool:
+    """Whether two sparse matrices span the same sublattice of Z^cols: the
+    oracle of the library's membership test, from Smith divisors alone.
+
+    The lattices L1 and L2 are equal exactly when M1, M2 and their stacked
+    rows have the same Smith divisors: Z^cols / L1 maps onto
+    Z^cols / (L1 + L2), and a surjection between isomorphic finitely
+    generated abelian groups is an isomorphism.  When one row set contains
+    the other, the stacked rows span the larger lattice, so its Smith form
+    is not computed.  Equal divisors alone would not do: [[2, 0], [0, 1]]
+    and [[1, 0], [0, 2]] share them.
+    """
+    assert M1.num_cols == M2.num_cols, "row_space_equal requires equal column counts"
+    divisors = smith_normal_form(M1).divisors
+    if smith_normal_form(M2).divisors != divisors:
+        return False
+    rows1, rows2 = set(M1.entries), set(M2.entries)
+    if rows1 <= rows2 or rows2 <= rows1:
+        return True
+    stacked = SparseMatrix(M1.entries + M2.entries, M1.num_cols)
+    return smith_normal_form(stacked).divisors == divisors
 
 
 def laplace_det(rows):
@@ -403,7 +450,7 @@ def d8_parts(d8):
 def full_group_symbol(factors, beta, n, trdeg=None, deg=1):
     """Symbol over the full subgroup of an abelian ambient group."""
     G = FiniteGroup.from_invariant_factors(factors)
-    full = G.full_subgroup()
+    full = full_subgroup(G)
     if trdeg is None:
         trdeg = n - len(beta)
     K = Atom(name="k", trdeg=trdeg, alg_closure_degree=deg)

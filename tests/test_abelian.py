@@ -12,7 +12,7 @@ from burnside import (
     wedge_equivalent,
 )
 from burnside.abelian import _pivots
-from conftest import generates, laplace_det, minor_gcd, sparse_matrix
+from conftest import generates, group_json, laplace_det, minor_gcd, sparse_matrix
 
 # primes with a product past 10**12
 P, Q = 1000003, 1000033
@@ -45,7 +45,7 @@ class TestAbelianGroup:
 
     def test_json_roundtrip(self):
         A = AbelianGroup((2, 4))
-        assert AbelianGroup.from_json(A.to_json()) == A
+        assert AbelianGroup.from_json(group_json(A)) == A
         with pytest.raises(InputError):
             AbelianGroup.from_json('{"factors": [2]}')
         with pytest.raises(InputError):

@@ -22,12 +22,20 @@ from burnside import (
     project_symbol,
     reduce_class,
     relation_rows,
-    row_space_equal,
     smith_normal_form,
     wedge_equivalent,
 )
 from burnside.cli import emit_table
-from conftest import abs_det, dense_rows, generates, matmul, minor_gcd, sparse_matrix
+from conftest import (
+    abs_det,
+    dense_rows,
+    full_subgroup,
+    generates,
+    matmul,
+    minor_gcd,
+    row_space_equal,
+    sparse_matrix,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -139,7 +147,7 @@ def test_criterion_4_homomorphism_shadow():
     for factors in SMALL_ABELIAN:
         A = AbelianGroup(factors)
         G = FiniteGroup.from_invariant_factors(factors)
-        full = G.full_subgroup()
+        full = full_subgroup(G)
         for n in (2, 3):
             P = BnGPresentation(A, n)
             for s in full_symbols(G, full, A, n):

@@ -23,7 +23,7 @@ from burnside import (
     reduce_class,
     relation_rows,
 )
-from conftest import dense_rows, full_group_symbol, structure_by_ranks
+from conftest import dense_rows, full_group_symbol, full_subgroup, structure_by_ranks
 
 
 def totient(m: int) -> int:
@@ -120,6 +120,51 @@ class TestOneEnumeration:
         assert code == 0
         assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
         assert len(calls) == 1
+
+    def test_verify_prop71_at_n1_enumerates_nothing(self, calls, capsys):
+        # no relation exists at dimension one, whatever the group's order
+        from burnside import cli
+
+        code = cli.run(
+            ["verify-prop71", "--group", '{"invariant_factors":[3000000]}', "--n", "1"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
+        assert calls == []
+
+    def test_verify_prop71_at_n2_builds_no_row(self, calls, monkeypatch, capsys):
+        # j ranges over {2} alone: the generators are enumerated, for the
+        # candidate bound, and no relation row is built
+        import burnside.bng
+        from burnside import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("relation rows built at n = 2")
+
+        monkeypatch.setattr(burnside.bng, "relation_rows", refuse)
+        monkeypatch.setattr(cli, "relation_rows", refuse)
+        code = cli.run(
+            ["verify-prop71", "--group", '{"invariant_factors":[4]}', "--n", "2"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
+        assert len(calls) == 1
+
+    def test_verify_prop71_refuses_before_the_j2_rows(self, monkeypatch, capsys):
+        # the j <= 24 rows are priced before the j = 2 rows are built
+        from burnside import cli
+
+        def refuse(self):
+            raise AssertionError("j = 2 rows built before the size bound")
+
+        monkeypatch.setattr(BnGPresentation, "relation_matrix", property(refuse))
+        code = cli.run(
+            ["verify-prop71", "--group", '{"invariant_factors":[2]}', "--n", "24"]
+        )
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("size error: the relation rows visit more cells")
 
 
 class TestStructure:
@@ -250,7 +295,7 @@ class TestProjection:
 
     def test_proper_subgroup_maps_to_zero(self):
         G = FiniteGroup.from_invariant_factors((4,))
-        H = G.subgroup(h for h in range(4) if G.full_subgroup().coords(h)[0] % 2 == 0)
+        H = G.subgroup(h for h in range(4) if full_subgroup(G).coords(h)[0] % 2 == 0)
         s = Symbol(
             group=G,
             subgroup=H,

@@ -12,7 +12,6 @@ from burnside import (
     InputError,
     Symbol,
     SymbolSum,
-    apply_b1,
     canonicalize_symbol,
     expand_b2,
     expand_prop46,
@@ -25,6 +24,7 @@ from burnside.relations import (
 )
 from conftest import (
     SYMBOL_ORACLE_GROUPS,
+    apply_b1,
     dense_relation_rows,
     dense_rows,
     expand_b2_reference,

@@ -30,6 +30,7 @@ from conftest import (
     conjugate_by_scan,
     dihedral_d12,
     full_group_symbol,
+    full_subgroup,
     least_conjugator_by_scan,
     normalizer_by_scan,
     stratum_symbols,
@@ -149,7 +150,7 @@ class TestSymbolInvariants:
         s, t = (
             Symbol(
                 group=G,
-                subgroup=G.full_subgroup(),
+                subgroup=full_subgroup(G),
                 field_label=Atom(name="k", trdeg=0),
                 beta=((1,), (2,)),
                 ambient_n=2,

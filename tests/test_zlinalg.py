@@ -14,7 +14,6 @@ from burnside import (
     cli,
     reduce_class,
     relation_rows,
-    row_space_equal,
     smith_normal_form,
 )
 from conftest import (
@@ -23,6 +22,7 @@ from conftest import (
     dense_smith_reference,
     laplace_det,
     minor_gcd,
+    row_space_equal,
     sparse_matrix,
     table_presentations,
 )
@@ -268,7 +268,8 @@ class TestCokernel:
 
 
 class TestHermite:
-    """Row-lattice equality, decided from Smith divisors."""
+    """Row-lattice equality, decided from Smith divisors by the oracle of
+    the membership test."""
 
     def test_row_space_permutation_invariance(self):
         M = sparse_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
@@ -282,9 +283,7 @@ class TestHermite:
 
     def test_column_mismatch(self):
         with pytest.raises(InputError):
-            row_space_equal(
-                sparse_matrix([[1]]), sparse_matrix([[1, 0]])
-            )
+            smith_normal_form(sparse_matrix([[1]])).contains(sparse_matrix([[1, 0]]))
 
     @given(
         st.lists(
@@ -333,9 +332,10 @@ class TestHermite:
         )
         assert row_space_equal(M1, M2) == expected
 
-    def test_verify_prop71_runs_two_smith_forms(self, monkeypatch, capsys):
-        # the j = 2 rows are a subset of the j <= n rows, so the Smith form
-        # of the stacked rows is skipped
+    def test_verify_prop71_runs_one_smith_form(self, monkeypatch, capsys):
+        # the j = 2 rows are eliminated once, where the presentation looks
+        # the kernel up, and the j = 3 rows are reduced through its record;
+        # a second elimination, from either module, is counted
         counted = []
         original = burnside.zlinalg.smith_normal_form
 
@@ -343,13 +343,67 @@ class TestHermite:
             counted.append(M.num_rows)
             return original(M)
 
+        monkeypatch.setattr(burnside.bng, "smith_normal_form", counting)
         monkeypatch.setattr(burnside.zlinalg, "smith_normal_form", counting)
         code = cli.run(
             ["verify-prop71", "--group", '{"invariant_factors":[4]}', "--n", "3"]
         )
         assert code == 0
         assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
-        assert len(counted) == 2
+        P = BnGPresentation(AbelianGroup((4,)), 3)
+        assert counted == [P.relation_matrix.num_rows]
+
+
+# B_3 presentations, and the shape of the block left after their unit
+# pivots: rows by the columns they hold.  B_3(Z/5) leaves none.
+RESIDUAL_SHAPES = {
+    (7,): (21, 1), (8,): (16, 1), (2, 4): (32, 3), (2, 2, 2): (64, 8), (5,): (0, 0)
+}
+
+
+class TestContains:
+    """Row-lattice membership by forward substitution over the recorded unit
+    pivots, checked against the stacked-divisor oracle."""
+
+    @pytest.mark.parametrize(
+        "factors", list(RESIDUAL_SHAPES), ids=lambda f: "x".join(map(str, f))
+    )
+    def test_matches_divisor_oracle_on_b3(self, factors):
+        P = BnGPresentation(AbelianGroup(factors), 3)
+        M, F = P.relation_matrix, P.smith_form
+        block = F.residual[1]
+        assert (len(block), len({j for row in block for j in row})) == RESIDUAL_SHAPES[factors]
+        relations = dense_rows(M) + dense_rows(relation_rows(P, 3, 3))
+        rng = random.Random(f"contains:{factors}")
+        seen = set()
+        for _ in range(60):
+            kind = rng.randrange(3)
+            row = [0] * M.num_cols
+            if kind < 2:  # an integer combination of relation rows
+                for r in rng.sample(relations, 3):
+                    q = rng.randint(-3, 3)
+                    row = [x + q * y for x, y in zip(row, r)]
+            if kind > 0:  # a sparse change, after which it need not be one
+                for j in rng.sample(range(M.num_cols), rng.randint(1, 2)):
+                    row[j] += rng.choice((-2, -1, 1, 2))
+            got = F.contains(sparse_matrix([row]))
+            assert got == row_space_equal(M, sparse_matrix(dense_rows(M) + [row])), row
+            seen.add(got)
+        # with no residual the pivots span every column: every row is in
+        assert seen == ({True, False} if block else {True})
+
+    @given(_row_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_divisor_oracle_random(self, case):
+        rows1, rows2, cols = case
+        M1 = sparse_matrix(rows1, cols)
+        stacked = sparse_matrix(rows1 + rows2, cols)
+        got = smith_normal_form(M1).contains(sparse_matrix(rows2, cols))
+        assert got == row_space_equal(M1, stacked)
+
+    def test_each_matrix_holds_its_own_rows(self):
+        for M in _random_matrices():
+            assert smith_normal_form(M).contains(M)
 
 
 class TestDet:
