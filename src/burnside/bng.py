@@ -3,10 +3,10 @@
 Generators are size-``n`` multisets of characters generating the group
 (zero entries allowed); the presentation uses the two-position relation
 rows, kept sparse, which suffice.  One Smith elimination serves both
-queries: the structure reads its divisors alone, and classes get a unique
-normal form from the n x r map of the columns of V whose divisor is not 1,
-built from that elimination's record with nothing replayed, so equality
-is a tuple comparison.
+queries: the structure reads its divisors alone, and a class gets a unique
+normal form, the sum of its generators' coordinates, each read once from
+that elimination's record by a forward solve, so equality is a tuple
+comparison.
 """
 
 from __future__ import annotations
@@ -74,16 +74,8 @@ class BnGPresentation:
 
     @cached_property
     def smith_form(self) -> SmithForm:
-        """Smith divisors, one per generator, and the record V is built from."""
+        """Smith divisors, one per generator, and the elimination's record."""
         return smith_normal_form(self.relation_matrix)
-
-    @cached_property
-    def snf_data(self) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
-        """The divisors other than 1, and the n x r normal-form map: the
-        columns of V for those divisors, one row per generator."""
-        divisors = self.smith_form.divisors
-        units = divisors.count(1)  # the ones lead the divisibility chain
-        return divisors[units:], self.smith_form.transform(units)
 
     def structure(self) -> tuple[int, list[int]]:
         divisors = self.smith_form.divisors
@@ -124,15 +116,18 @@ def reduce_class(P: BnGPresentation, x) -> BnGClass:
     the same normal form exactly when they differ by a relation row.
     """
     items = x.items() if isinstance(x, dict) else x
-    terms = [(P.coerce_generator(gen), int(coeff)) for gen, coeff in items]
-    divisors, nf_map = P.snf_data
-    # the image under the map: the sum of the rows of the generators present
-    image = [0] * len(divisors)
+    terms = [(P.coerce_generator(gen), coeff) for gen, coeff in items]
+    for _, coeff in terms:
+        if type(coeff) is not int:  # booleans too, as in the JSON checks
+            raise InputError(f"coefficient {coeff!r} is not an integer")
+    F = P.smith_form
+    # the sum of the generators' coordinates, each built on first use
+    image = [0] * len(F.orders)
     for gen, coeff in terms:
-        row = nf_map[P.generator_index[gen]]
+        row = F.image(P.generator_index[gen])
         image = [y + coeff * v for y, v in zip(image, row)]
-    free = tuple(y for y, d in zip(image, divisors) if d == 0)
-    torsion = tuple(y % d for y, d in zip(image, divisors) if d)
+    free = tuple(y for y, d in zip(image, F.orders) if d == 0)
+    torsion = tuple(y % d for y, d in zip(image, F.orders) if d)
     return BnGClass(free=free, torsion=torsion)
 
 

@@ -3,15 +3,16 @@
 One matrix type, sparse rows, and one kernel: Smith divisors in plain
 Python ints, so coefficient growth is harmless, by unit pivots in a
 fill-reducing order and a dense loop on the block left, with no
-transform.  Columns of the transform are built on request from the pivots
-and the block that elimination recorded, and row-lattice membership is a
-forward solve over the same record; nothing is eliminated twice.
+transform.  The elimination's record has one reader, a forward solve over
+the pivots: it decides row-lattice membership, and with the block's
+transform gives class coordinates; nothing is eliminated twice.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError
 
@@ -104,10 +105,11 @@ def _dense_smith(a, vcols) -> list[int]:
     return [a[k][k] for k in range(t)]
 
 
-def _block_divisors(block, cols) -> list[int]:
+def _block_divisors(block) -> list[int]:
     """The nonzero Smith divisors of the sparse rows ``block`` on the
-    columns ``cols``, by the dense loop transposed if that makes it tall,
+    columns they hold, by the dense loop transposed if that makes it tall,
     with an empty transform column per column: V is not carried."""
+    cols = sorted({j for row in block for j in row})
     a = [[row.get(j, 0) for j in cols] for row in block]
     if len(a) < len(cols):  # row operations are the cheaper ones
         a = [list(col) for col in zip(*a)]
@@ -120,71 +122,76 @@ def _has_unit(row: dict) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class SmithForm:
-    """Smith divisors, and what V is built from on request: per unit pivot,
-    in elimination order, its column and the other entries ``(j, x)`` of its
-    sign-normalised row; then the non-pivot columns and the sparse rows of
-    the residual block on them."""
+    """Smith divisors and the elimination's record: per unit pivot, in order,
+    its column and the other entries ``(j, x)`` of its sign-normalised row,
+    and each pivot column's step; then the non-pivot columns and the sparse
+    rows of the residual block on them."""
 
     divisors: list[int]
     pivots: tuple
+    step: dict
     residual: tuple
+    _images: dict = field(default_factory=dict, init=False, repr=False)
 
-    def transform(self, first: int = 0) -> tuple[tuple[int, ...], ...]:
-        """Columns ``first`` onward of V, as a tuple of row tuples.  The
-        residual block runs through the dense loop with its transform; then
-        back-substitution over the pivots in reverse: row c of a pivot is its
-        unit vector minus the sum of x times row j, and each such j is a
-        later pivot or residual."""
+    @cached_property
+    def orders(self) -> list[int]:
+        """The divisors past the units: 0 per free class coordinate."""
+        return self.divisors[self.divisors.count(1):]
+
+    def _solve(self, row: dict) -> dict:
+        """``row`` reduced in place by the pivots it reaches, and returned: a
+        pivot row is +1 at its column c and elsewhere only on columns pivoted
+        later, so each, from a heap in elimination order, is subtracted x[c]
+        times.  What is left lies on the residual columns."""
+        step = self.step
+        heap = sorted(step[j] for j in row if j in step)
+        while heap:
+            c, subst = self.pivots[heapq.heappop(heap)]
+            q = row.pop(c, 0)
+            if not q:  # cancelled on the way
+                continue
+            for j, x in subst:
+                if j in step and j not in row:
+                    heapq.heappush(heap, step[j])
+                row[j] = row.get(j, 0) - q * x
+                if not row[j]:
+                    del row[j]
+        return row
+
+    @cached_property
+    def _residual_rows(self) -> dict[int, tuple[int, ...]]:
+        """W, the dense loop's transform on the residual block, past the
+        unit divisors, as a row per residual column; built once."""
         cols, block = self.residual
         a = [[row.get(j, 0) for j in cols] for row in block]
         w = [[int(i == j) for i in range(len(cols))] for j in range(len(cols))]
         _dense_smith(a, w)
-        n, t = len(self.divisors), len(self.pivots)
-        rows = [None] * n
-        for j, v in zip(cols, zip(*w)):  # zero on the pivot columns
-            rows[j] = [0] * (t - first) + list(v[max(first - t, 0):])
-        for s, (c, subst) in reversed(list(enumerate(self.pivots))):
-            row = [int(k == s - first) for k in range(n - first)]
-            for j, x in subst:
-                row = [y - x * v for y, v in zip(row, rows[j])]
-            rows[c] = row
-        return tuple(map(tuple, rows))
+        skip = len(cols) - len(self.orders)
+        return {j: v[skip:] for j, v in zip(cols, zip(*w))}
+
+    def image(self, k: int) -> tuple[int, ...]:
+        """Class coordinates of e_k, one per ``orders`` entry (row k of a
+        unimodular V past the units, column i of M V in orders[i] Z): W on
+        what the forward solve leaves of e_k, as pivot rows map to 0; kept."""
+        if k not in self._images:
+            row = [0] * len(self.orders)
+            for j, x in self._solve({k: 1}).items():
+                row = [y + x * v for y, v in zip(row, self._residual_rows[j])]
+            self._images[k] = tuple(row)
+        return self._images[k]
 
     def contains(self, M: SparseMatrix) -> bool:
-        """Whether every row of ``M`` lies in the row lattice this form was
-        computed from.  A pivot row is +1 at its column c and elsewhere only
-        on columns not yet pivoted when it was dropped, so a row is reduced
-        by forward substitution: the pivots it reaches, from a heap in
-        elimination order, each subtracted x[c] times.  What is left lies on
-        the residual columns, and is in the lattice exactly when stacking it
-        under the residual block keeps the block's divisors: Z^cols / L maps
-        onto Z^cols / (L + left), and a surjection between isomorphic
-        finitely generated abelian groups is an isomorphism."""
+        """Whether every row of ``M`` lies in the row lattice L this form was
+        computed from: the forward solve's leftovers must keep the residual
+        block's divisors, as Z^cols / L maps onto Z^cols / (L + left), and a
+        surjection between isomorphic finitely generated abelian groups is
+        an isomorphism."""
         if M.num_cols != len(self.divisors):
             raise InputError("contains requires the form's column count")
-        step = {c: s for s, (c, _) in enumerate(self.pivots)}
-        left = []
-        for row in map(dict, M.entries):
-            heap = sorted(step[j] for j in row if j in step)
-            while heap:
-                c, subst = self.pivots[heapq.heappop(heap)]
-                q = row.pop(c, 0)
-                if not q:  # cancelled on the way
-                    continue
-                for j, x in subst:
-                    if j in step and j not in row:
-                        heapq.heappush(heap, step[j])
-                    row[j] = row.get(j, 0) - q * x
-                    if not row[j]:
-                        del row[j]
-            if row:
-                left.append(row)
-        if not left:
-            return True
-        block = self.residual[1] + tuple(left)
-        cols = sorted({j for row in block for j in row})
+        left = tuple(row for row in map(self._solve, map(dict, M.entries)) if row)
         # the block's divisors are the ones after the pivots' units
-        return _block_divisors(block, cols) == [d for d in self.divisors[len(self.pivots):] if d]
+        want = [d for d in self.divisors[len(self.pivots):] if d]
+        return not left or _block_divisors(self.residual[1] + left) == want
 
 
 def _eliminate(rows, in_col, p, c, heap) -> None:
@@ -209,16 +216,15 @@ def _eliminate(rows, in_col, p, c, heap) -> None:
 
 
 def smith_normal_form(M: SparseMatrix) -> SmithForm:
-    """Smith form of a sparse matrix ``M``: the divisors, one per
-    column (``d_1 | d_2 | ...`` positive, then zeros for the free part),
-    and a unimodular column transform ``V``, built only on request, such
-    that the rows of ``M V`` span the multiples of ``divisors[k]`` in each
-    column ``k``.  Unit pivots take a fill-reducing order (after Markowitz):
-    the pivot is the shortest row holding a +-1, at its unit in the column
-    with the fewest entries; the column is cleared from the other rows, and
-    the pivot row, left to column operations, is recorded and dropped.  For
-    the divisors the dense loop runs on the rest with no transform,
-    transposed if that makes it tall.  No row transform is built.
+    """Smith form of a sparse matrix ``M``: the divisors, one per column
+    (``d_1 | d_2 | ...`` positive, then zeros for the free part), and the
+    record that class coordinates and membership read.  Unit pivots take a
+    fill-reducing order (after Markowitz): the pivot is the shortest row
+    holding a +-1, at its unit in the column with the fewest entries; the
+    column is cleared from the other rows, and the pivot row, left to
+    column operations, is recorded and dropped.  For the divisors the dense
+    loop runs on the rest with no transform, transposed if that makes it
+    tall.  No row transform is built.
     """
     rows = [dict(row) for row in M.entries]
     in_col = [set() for _ in range(M.num_cols)]  # the rows held per column
@@ -237,9 +243,8 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
         pivots.append((c, tuple((j, x) for j, x in rows[p].items() if j != c)))
         rows[p] = {}
     block = tuple(row for row in rows if row)
-    pivoted = {c for c, _ in pivots}
-    residual = (tuple(j for j in range(M.num_cols) if j not in pivoted), block)
-    cols = [j for j, held in enumerate(in_col) if held]
-    divisors = [1] * len(pivots) + _block_divisors(block, cols)
+    step = {c: s for s, (c, _) in enumerate(pivots)}
+    residual = (tuple(j for j in range(M.num_cols) if j not in step), block)
+    divisors = [1] * len(pivots) + _block_divisors(block)
     divisors += [0] * (M.num_cols - len(divisors))
-    return SmithForm(divisors, tuple(pivots), residual)
+    return SmithForm(divisors, tuple(pivots), step, residual)

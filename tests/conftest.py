@@ -192,34 +192,28 @@ def dense_smith_reference(M) -> list[int]:
     return [a[k][k] for k in range(t)] + [0] * (n - t)
 
 
-def abs_det(rows) -> int:
-    """|det| of a square integer matrix, given as rows, by unimodular row
-    steps on sparse rows: per column, the rows holding it are reduced by the
-    one of least absolute entry there until one is left, whose entry is a
-    factor."""
-    n = len(rows)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in rows]
-    out = 1
-    for k in range(n):
-        live = [row for row in rows if k in row]
-        while len(live) > 1:
-            p = min(live, key=lambda row: abs(row[k]))
-            for row in live:
-                if row is p:
-                    continue
-                q = row[k] // p[k]
-                for j, x in p.items():
-                    y = row.get(j, 0) - q * x
-                    if y:
-                        row[j] = y
-                    else:
-                        row.pop(j, None)
-            live = [row for row in live if k in row]
-        if not live:
-            return 0
-        out *= abs(live[0][k])
-        rows = [row for row in rows if row is not live[0]]
-    return out
+def certifies_class_map(M, F) -> bool:
+    """Whether the class coordinates of ``F``, the Smith form of ``M``, pass
+    a certificate that needs no V: every row of M maps to 0 on each free
+    coordinate and into d Z on a torsion one of order d, and the images of
+    the unit vectors, stacked with d e_i per torsion coordinate i, have
+    all-ones divisors under the dense reference, so the map is onto the sum
+    of the Z/d.  When the divisors are also right, Z^cols / rows of M is
+    isomorphic to that sum, and a surjection between isomorphic finitely
+    generated abelian groups is an isomorphism."""
+    orders = F.divisors[F.divisors.count(1) :]
+    images = [F.image(k) for k in range(M.num_cols)]
+    if F.orders != orders or any(len(v) != len(orders) for v in images):
+        return False
+    for items in M.entries:
+        image = [0] * len(orders)
+        for k, x in items:
+            image = [y + x * v for y, v in zip(image, images[k])]
+        if any(y if d == 0 else y % d for y, d in zip(image, orders)):
+            return False
+    r = len(orders)
+    torsion = [[d * (i == j) for j in range(r)] for i, d in enumerate(orders) if d]
+    return dense_smith_reference(sparse_matrix(images + torsion, r)) == [1] * r
 
 
 def rank_mod(M, p: int) -> int:
@@ -287,26 +281,34 @@ def dense_relation_rows(P, j_max: int) -> list[list[int]]:
     return [list(row) for row in sorted(rows)]
 
 
-def table_presentations():
-    """A presentation for every pair of the benchmark's fixed structure
-    table (``TABLE_FIXED`` in ``perfbench/workloads.py``), with its
-    relation depths: 2 and, when it differs, n."""
+@functools.cache
+def _workloads():
+    """The benchmark's workload module, ``perfbench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses look themselves up
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def table_presentations():
+    """A presentation for every pair of the benchmark's fixed structure
+    table (``TABLE_FIXED`` in ``perfbench/workloads.py``), with its
+    relation depths: 2 and, when it differs, n."""
     out = []
-    for factors, n in workloads.TABLE_FIXED:
+    for factors, n in _workloads().TABLE_FIXED:
         P = BnGPresentation(AbelianGroup(factors), n)
         out.extend((P, j) for j in sorted({2, n}))
     return out
 
 
-def matmul(a, b):
-    """Product of two integer matrices given as row lists (textbook sums)."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def digest_pairs() -> list:
+    """The (factors, n) pairs the ``reduce_class`` digest covers: every pair
+    the benchmark's structure table can draw and every query presentation,
+    sorted."""
+    workloads = _workloads()
+    return sorted(set(workloads.table_pairs()) | set(workloads.QUERY_PRESENTATIONS))
 
 
 def permutation_closure(degree, perms) -> list[tuple]:

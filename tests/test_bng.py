@@ -1,5 +1,8 @@
+import hashlib
 import itertools
+import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -23,7 +26,18 @@ from burnside import (
     reduce_class,
     relation_rows,
 )
-from conftest import dense_rows, full_group_symbol, full_subgroup, structure_by_ranks
+from conftest import (
+    dense_rows,
+    digest_pairs,
+    full_group_symbol,
+    full_subgroup,
+    structure_by_ranks,
+)
+
+# sha256 of one json.dumps([factors, n, generator, free, torsion]) line per
+# single-generator class over ``digest_pairs()``, generators in presentation
+# order: the normal-form coordinates, byte for byte
+REDUCE_CLASS_DIGEST = "daa8f69f8714a61ec63863b8dd8e2c5a4523498b4689e11f928f922bc1998a32"
 
 
 def totient(m: int) -> int:
@@ -276,6 +290,30 @@ class TestReduce:
         P = BnGPresentation(AbelianGroup((4,)), 2)
         with pytest.raises(InputError):
             reduce_class(P, {((0,), (2,)): 1})
+
+    def test_non_integer_coefficients_refused(self):
+        # a float is not truncated, and a string, None or a boolean is an
+        # input error rather than a bare ValueError or TypeError
+        P = BnGPresentation(AbelianGroup((3,)), 2)
+        g = ((0,), (1,))
+        for coeff in (1.5, 1.0, Fraction(1), "1", "x", None, True):
+            with pytest.raises(InputError, match="not an integer"):
+                reduce_class(P, {g: coeff})
+            with pytest.raises(InputError, match="not an integer"):
+                reduce_class(P, [(g, 1), (g, coeff)])
+            with pytest.raises(InputError, match="not an integer"):
+                equal_classes(P, {g: 1}, {g: coeff})
+        assert reduce_class(P, {g: 2}) == reduce_class(P, [(g, 1), (g, 1)])
+
+    def test_reduce_class_digest(self):
+        h = hashlib.sha256()
+        for factors, n in digest_pairs():
+            P = BnGPresentation(AbelianGroup(factors), n)
+            for gen in P.generators:
+                cls = reduce_class(P, {gen: 1})
+                line = json.dumps([factors, n, gen, cls.free, cls.torsion])
+                h.update((line + "\n").encode())
+        assert h.hexdigest() == REDUCE_CLASS_DIGEST
 
     def test_normal_form_is_complete(self):
         # distinct multiples of a free generator stay distinct

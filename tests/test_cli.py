@@ -69,6 +69,11 @@ GOLDEN_CASES = [
             '"beta":[[0,1],[1,0]],"n":2}',
         ],
     ),
+    (
+        # coordinates of about 200 digits
+        "bng_reduce_z61.json",
+        ["bng-reduce", "--group", '{"invariant_factors":[61]}', "--n", "2", "--class", "[[1],[2]]"],
+    ),
 ]
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -12,12 +13,13 @@ from burnside import (
     BnGPresentation,
     InputError,
     cli,
+    equal_classes,
     reduce_class,
     relation_rows,
     smith_normal_form,
 )
 from conftest import (
-    abs_det,
+    certifies_class_map,
     dense_rows,
     dense_smith_reference,
     laplace_det,
@@ -28,33 +30,47 @@ from conftest import (
 )
 
 
-def certify(M, F) -> tuple:
-    """Certify the Smith form ``F`` of ``M`` without a row transform and
-    return its V: V is unimodular, column k of M V lies in d_k Z, and the
-    divisors are the dense reference's."""
-    V = F.transform()
+def certify(M, F) -> list:
+    """Certify the Smith form ``F`` of ``M`` with neither transform: the
+    divisors are the dense reference's, so Z^cols / rows of M is the sum of
+    the Z/d_k, and the class map passes ``certifies_class_map``, so it is
+    an isomorphism onto that sum.  Returns the unit vectors' coordinates."""
     assert F.divisors == dense_smith_reference(M)
-    assert abs_det(V) == 1
-    for row in dense_rows(M):
-        image = [0] * M.num_cols  # the row times V
-        for j, x in enumerate(row):
-            if x:
-                image = [y + x * v for y, v in zip(image, V[j])]
-        for y, d in zip(image, F.divisors):
-            assert y == 0 if d == 0 else y % d == 0
-    return V
+    assert certifies_class_map(M, F), M
+    return [F.image(k) for k in range(M.num_cols)]
 
 
-def columns_from(V: tuple, first: int) -> tuple:
-    return tuple(row[first:] for row in V)
+def spy_residual_transform(monkeypatch, hook):
+    """Call ``hook(form)`` at each build of a form's residual transform, the
+    dense loop with transform columns that class coordinates read."""
+    build = burnside.zlinalg.SmithForm._residual_rows.func
+
+    def spied(F):
+        hook(F)
+        return build(F)
+
+    prop = functools.cached_property(spied)
+    prop.__set_name__(burnside.zlinalg.SmithForm, "_residual_rows")
+    monkeypatch.setattr(burnside.zlinalg.SmithForm, "_residual_rows", prop)
+
+
+def check_generator_classes(P, images):
+    """``reduce_class`` of each generator of ``P`` splits its coordinates
+    ``images[k]`` by their orders: free ones exact, torsion ones reduced."""
+    orders = P.smith_form.orders
+    for gen, v in zip(P.generators, images):
+        cls = reduce_class(P, {gen: 1})
+        assert cls.free == tuple(y for y, d in zip(v, orders) if not d)
+        assert cls.torsion == tuple(y % d for y, d in zip(v, orders) if d)
 
 
 def check_snf(M):
-    """Certify ``(divisors, V)``, and check that the running products of
-    the divisors are the minor gcds of M.  Together these pin the row
-    lattice of M V to the sum of the d_k Z."""
+    """Certify the form and its class map, and check that the running
+    products of the divisors are the minor gcds of M, an oracle apart from
+    the dense reference.  Returns the divisors and the unit vectors'
+    coordinates."""
     F = smith_normal_form(M)
-    divisors, V = F.divisors, certify(M, F)
+    divisors, images = F.divisors, certify(M, F)
     assert len(divisors) == M.num_cols
     # positive, divisibility chain, zeros trailing
     rank = sum(1 for d in divisors if d)
@@ -66,7 +82,7 @@ def check_snf(M):
     for k, d in enumerate(divisors[:rank], start=1):
         prod *= d
         assert prod == minor_gcd(M, k)
-    return divisors, V
+    return divisors, images
 
 
 def _row_pairs():
@@ -84,7 +100,8 @@ def _row_pairs():
 class TestSmithNormalForm:
     def test_identity(self):
         F = smith_normal_form(sparse_matrix([[1, 0], [0, 1]]))
-        assert F.divisors == [1, 1] and F.transform() == ((1, 0), (0, 1))
+        assert F.divisors == [1, 1] and F.orders == []
+        assert (F.image(0), F.image(1)) == ((), ())
 
     def test_2x2_example(self):
         M = sparse_matrix([[2, 4], [6, 8]])
@@ -96,9 +113,9 @@ class TestSmithNormalForm:
 
     def test_zero_matrix(self):
         M = sparse_matrix([[0, 0, 0], [0, 0, 0]])
-        divisors, V = check_snf(M)
+        divisors, images = check_snf(M)
         assert divisors == [0, 0, 0]
-        assert V == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert images == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_empty_and_nonsquare(self):
         for M in (
@@ -134,8 +151,9 @@ def _random_matrices():
 
 
 class TestSparseUnitPivots:
-    """The divisors match the dense reference, and V, built from the records
-    of the same fill-reducing elimination, passes the certificate."""
+    """The divisors match the dense reference, and the class coordinates,
+    read from the record of the same fill-reducing elimination, pass the
+    certificate."""
 
     def test_matches_dense_reference_random(self):
         for M in _random_matrices():
@@ -149,9 +167,10 @@ class TestSparseUnitPivots:
     def test_dense_loop_sees_only_the_residual(self, monkeypatch):
         # B_2(Z/23), 264 x 275: 250 unit pivots in the fill-reducing order
         # leave 3 rows on 25 columns.  For the divisors, the 3 x 24 block on
-        # the columns still held runs as 24 x 3 with no transform; for V,
-        # the 3 x 25 block runs with its 25 columns of V.  The dense row and
-        # column operations act on those alone, never on the full matrix
+        # the columns still held runs as 24 x 3 with no transform; for class
+        # coordinates, the 3 x 25 block runs once with its 25 transform
+        # columns.  The dense row and column operations act on those alone,
+        # never on the full matrix
         touched = []
 
         def spy(op):
@@ -171,51 +190,53 @@ class TestSparseUnitPivots:
         assert (F.divisors.count(0), [d for d in F.divisors if d > 1]) == (23, [22])
         assert (len(F.pivots), len(F.residual[0]), len(F.residual[1])) == (250, 25, 3)
         divisors_only, touched[:] = list(touched), []
-        F.transform()
+        F.image(F.residual[0][0])  # a residual column reaches W
+        builds = list(touched)
+        for k in range(M.num_cols):  # the transform is built once per form
+            F.image(k)
+        assert touched == builds
         for ops, (rows, cols) in ((divisors_only, (24, 3)), (touched, (3, 25))):
             assert ops
             for name, height, width in ops:
                 if name in ("_swap_cols", "_add_col"):
                     assert height <= rows and width <= cols, (name, height, width)
                 else:
-                    # a row operation on the block or a V-column operation
+                    # a row operation on the block or on transform columns
                     assert height <= max(rows, cols), (name, height, width)
 
 
 class TestNormalFormMap:
-    """The n x r map: the columns of V past the units, built on request
-    from the records of the one elimination."""
+    """Class coordinates: W on what the forward solve over the recorded
+    pivots leaves of a unit vector, checked by the certificate, which shares
+    no code with the engine."""
 
     def test_map_matches_reference_random(self):
+        # the same coordinates in whatever order the unit vectors are asked
         for M in _random_matrices():
+            images = certify(M, smith_normal_form(M))
             F = smith_normal_form(M)
-            units = F.divisors.count(1)
-            assert F.divisors[units:] == dense_smith_reference(M)[units:], M
-            assert F.transform(units) == columns_from(F.transform(), units), M
+            assert [F.image(k) for k in reversed(range(M.num_cols))] == images[::-1], M
 
     def test_map_matches_reference_on_relation_matrices(self):
         for P, j in table_presentations():
             M = relation_rows(P, j)
-            F = smith_normal_form(M)
-            units = F.divisors.count(1)
-            nf_map = columns_from(F.transform(), units)
-            assert F.transform(units) == nf_map, (P.A, P.n, j)
+            images = certify(M, smith_normal_form(M))
             if j == 2:
-                assert P.snf_data == (F.divisors[units:], nf_map), (P.A, P.n)
+                check_generator_classes(P, images)
 
     def test_map_matches_reference_b2_z29(self):
         P = BnGPresentation(AbelianGroup((29,)), 2)
-        divisors, nf_map = P.snf_data
-        assert (len(nf_map), len(nf_map[0])) == (434, 37)
-        V = certify(P.relation_matrix, P.smith_form)
-        assert nf_map == columns_from(V, 434 - 37)
-        assert divisors == P.smith_form.divisors[434 - 37 :]
+        F = P.smith_form
+        assert (len(F.divisors), len(F.orders)) == (434, 37)
+        images = certify(P.relation_matrix, F)
+        assert F.orders == F.divisors[434 - 37 :]
+        check_generator_classes(P, images)
 
     def test_structure_queries_build_no_transform(self, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("column transform built for a structure query")
+        def refuse(F):
+            raise AssertionError("residual transform built for a structure query")
 
-        monkeypatch.setattr(burnside.zlinalg.SmithForm, "transform", refuse)
+        spy_residual_transform(monkeypatch, refuse)
         assert BnGPresentation(AbelianGroup((23,)), 2).structure() == (23, [22])
         for argv, out in (
             (["bng-structure", "--group", '{"invariant_factors":[23]}', "--n", "2"],
@@ -229,26 +250,27 @@ class TestNormalFormMap:
             assert capsys.readouterr().out == out
 
     def test_structure_and_reduce_class_run_one_smith_form(self, monkeypatch):
-        # one elimination serves the divisors and V; V is built once
+        # one elimination serves the divisors and the classes; the residual
+        # transform is built once per form, on the first class query
         calls = []
         smith = burnside.bng.smith_normal_form
-        transform = burnside.zlinalg.SmithForm.transform
 
         def counting_smith(M):
             calls.append("smith_normal_form")
             return smith(M)
 
-        def counting_transform(F, first=0):
-            calls.append("transform")
-            return transform(F, first)
-
         monkeypatch.setattr(burnside.bng, "smith_normal_form", counting_smith)
-        monkeypatch.setattr(burnside.zlinalg.SmithForm, "transform", counting_transform)
+        spy_residual_transform(monkeypatch, lambda F: calls.append(F))
         P = BnGPresentation(AbelianGroup((23,)), 2)
         assert P.structure() == (23, [22])
-        for gen in P.generators[:5]:
+        assert calls == ["smith_normal_form"]
+        for gen in P.generators:
             reduce_class(P, {gen: 1})
-        assert calls == ["smith_normal_form", "transform"]
+        assert calls == ["smith_normal_form", P.smith_form]
+        Q = BnGPresentation(AbelianGroup((2, 4)), 3)
+        for gen in Q.generators:
+            assert equal_classes(Q, {gen: 2}, [(gen, 1), (gen, 1)])
+        assert calls[2:] == ["smith_normal_form", Q.smith_form]
 
 
 class TestCokernel:
@@ -411,12 +433,12 @@ class TestDet:
     is what the wedge test reads."""
 
     def test_matches_laplace(self):
-        # the abs_det oracle that certifies V against cofactor expansion
         rng = random.Random(7)
         for _ in range(40):
             n = rng.randint(0, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert abs_det(rows) == abs(laplace_det(rows))
+            divisors = smith_normal_form(sparse_matrix(rows, n)).divisors
+            assert math.prod(divisors) == abs(laplace_det(rows))
 
     def test_big_entries_exact(self):
         # arbitrary precision: no overflow on large intermediate values
