@@ -180,7 +180,8 @@ class SymbolSum:
             ):
                 if not _canonical:
                     sym = canonicalize_symbol(sym)
-                coeff = int(coeff)
+                if type(coeff) is not int:  # booleans too, as in reduce_class
+                    raise InputError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
                     data[sym] = data.get(sym, 0) + coeff
                     if not data[sym]:

@@ -2,10 +2,12 @@
 
 One matrix type, sparse rows, and one kernel: Smith divisors in plain
 Python ints, so coefficient growth is harmless, by unit pivots in a
-fill-reducing order and a dense loop on the block left, with no
-transform.  The elimination's record has one reader, a forward solve over
-the pivots: it decides row-lattice membership, and with the block's
-transform gives class coordinates; nothing is eliminated twice.
+fill-reducing order and a dense loop on the block left, as it stands and
+with no transform.  The elimination's record has one reader, a forward
+solve over the pivots: with the block's transform it gives class
+coordinates, and a row lies in the row lattice exactly when it maps to the
+zero class.  A form runs at most two dense loops: one for the divisors,
+and one for the transform on the first class query.
 """
 
 from __future__ import annotations
@@ -105,17 +107,6 @@ def _dense_smith(a, vcols) -> list[int]:
     return [a[k][k] for k in range(t)]
 
 
-def _block_divisors(block) -> list[int]:
-    """The nonzero Smith divisors of the sparse rows ``block`` on the
-    columns they hold, by the dense loop transposed if that makes it tall,
-    with an empty transform column per column: V is not carried."""
-    cols = sorted({j for row in block for j in row})
-    a = [[row.get(j, 0) for j in cols] for row in block]
-    if len(a) < len(cols):  # row operations are the cheaper ones
-        a = [list(col) for col in zip(*a)]
-    return _dense_smith(a, [[]] * (len(a[0]) if a else 0))
-
-
 def _has_unit(row: dict) -> bool:
     return 1 in row.values() or -1 in row.values()
 
@@ -169,29 +160,32 @@ class SmithForm:
         skip = len(cols) - len(self.orders)
         return {j: v[skip:] for j, v in zip(cols, zip(*w))}
 
+    def _coordinates(self, row: dict) -> list[int]:
+        """Class coordinates of the sparse ``row``: W on what the forward
+        solve leaves of it, as pivot rows map to 0."""
+        out = [0] * len(self.orders)
+        for j, x in self._solve(row).items():
+            out = [y + x * v for y, v in zip(out, self._residual_rows[j])]
+        return out
+
     def image(self, k: int) -> tuple[int, ...]:
         """Class coordinates of e_k, one per ``orders`` entry (row k of a
-        unimodular V past the units, column i of M V in orders[i] Z): W on
-        what the forward solve leaves of e_k, as pivot rows map to 0; kept."""
+        unimodular V past the units, column i of M V in orders[i] Z); kept."""
         if k not in self._images:
-            row = [0] * len(self.orders)
-            for j, x in self._solve({k: 1}).items():
-                row = [y + x * v for y, v in zip(row, self._residual_rows[j])]
-            self._images[k] = tuple(row)
+            self._images[k] = tuple(self._coordinates({k: 1}))
         return self._images[k]
 
     def contains(self, M: SparseMatrix) -> bool:
         """Whether every row of ``M`` lies in the row lattice L this form was
-        computed from: the forward solve's leftovers must keep the residual
-        block's divisors, as Z^cols / L maps onto Z^cols / (L + left), and a
-        surjection between isomorphic finitely generated abelian groups is
-        an isomorphism."""
+        computed from: the class map's kernel is L, so each row must map to
+        the zero class, 0 on the free coordinates and 0 mod d on the rest."""
         if M.num_cols != len(self.divisors):
             raise InputError("contains requires the form's column count")
-        left = tuple(row for row in map(self._solve, map(dict, M.entries)) if row)
-        # the block's divisors are the ones after the pivots' units
-        want = [d for d in self.divisors[len(self.pivots):] if d]
-        return not left or _block_divisors(self.residual[1] + left) == want
+        return not any(
+            y % d if d else y
+            for row in M.entries
+            for y, d in zip(self._coordinates(dict(row)), self.orders)
+        )
 
 
 def _eliminate(rows, in_col, p, c, heap) -> None:
@@ -223,8 +217,8 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
     holding a +-1, at its unit in the column with the fewest entries; the
     column is cleared from the other rows, and the pivot row, left to
     column operations, is recorded and dropped.  For the divisors the dense
-    loop runs on the rest with no transform, transposed if that makes it
-    tall.  No row transform is built.
+    loop runs on the rest as it stands, on the columns it holds, with no
+    transform.  No row transform is built.
     """
     rows = [dict(row) for row in M.entries]
     in_col = [set() for _ in range(M.num_cols)]  # the rows held per column
@@ -245,6 +239,8 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
     block = tuple(row for row in rows if row)
     step = {c: s for s, (c, _) in enumerate(pivots)}
     residual = (tuple(j for j in range(M.num_cols) if j not in step), block)
-    divisors = [1] * len(pivots) + _block_divisors(block)
+    held = sorted({j for row in block for j in row})
+    a = [[row.get(j, 0) for j in held] for row in block]
+    divisors = [1] * len(pivots) + _dense_smith(a, [[]] * len(held))
     divisors += [0] * (M.num_cols - len(divisors))
     return SmithForm(divisors, tuple(pivots), step, residual)

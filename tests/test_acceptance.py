@@ -256,6 +256,26 @@ def test_criterion_8_cli_golden_files():
             "bng_reduce_z61.json",
             ["bng-reduce", "--group", '{"invariant_factors":[61]}', "--n", "2", "--class", "[[1],[2]]"],
         ),
+        (
+            "expand_s4_conjugate.json",
+            [
+                "expand",
+                "--group",
+                '{"type":"permutation","degree":4,"generators":[[1,0,2,3],[1,2,3,0]]}',
+                "--symbol",
+                '{"subgroup":[0,5,17,18],"field":{"atom":{"name":"k","trdeg":0}},'
+                '"beta":[[0,1],[1,0]],"n":2}',
+                "--i",
+                "0",
+                "--j",
+                "1",
+            ],
+        ),
+        (
+            "bng_equal_z7.json",
+            ["bng-equal", "--group", '{"invariant_factors":[7]}', "--n", "2",
+             "--x", "[[0],[1]]", "--y", "[[1],[1]]"],
+        ),
     ]
     ok = True
     for name, args in cases:

@@ -2,10 +2,14 @@ import hashlib
 import itertools
 import json
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import burnside.bng
+import burnside.relations
 from burnside import (
     AbelianGroup,
     Atom,
@@ -247,6 +251,34 @@ class TestModPOracle:
         P = BnGPresentation(AbelianGroup((20,)), 3)
         assert structure_by_ranks(P.relation_matrix, [2, 3, 5]) == (7, {2: 9, 3: 0, 5: 0})
         assert P.structure() == (7, [2] * 9)
+
+    @pytest.mark.parametrize(
+        "p,torsion,ranks",
+        [(127, [2] * 8 + [672], {2: 9}), (151, [2, 2, 2, 2, 950], {2: 5})],
+    )
+    def test_b2_past_the_size_bound(self, p, torsion, ranks, monkeypatch):
+        # with the cells bound lifted, B_2(Z/127) leaves a 19 x 682 block
+        # after its unit pivots: as it stands the dense loop answers in about
+        # a second, while on the 682 x 19 transpose its entries grow past
+        # any timeout
+        lift = 10**12
+        code = (
+            "import burnside.bng, burnside.relations\n"
+            f"burnside.bng.MAX_RELATION_CELLS = {lift}\n"
+            f"burnside.relations.MAX_RELATION_CELLS = {lift}\n"
+            "from burnside import AbelianGroup, BnGPresentation\n"
+            f"print(BnGPresentation(AbelianGroup(({p},)), 2).structure())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        free = (p * p + 23) // 24
+        assert proc.stdout == f"{(free, torsion)}\n"
+        monkeypatch.setattr(burnside.bng, "MAX_RELATION_CELLS", lift)
+        monkeypatch.setattr(burnside.relations, "MAX_RELATION_CELLS", lift)
+        P = BnGPresentation(AbelianGroup((p,)), 2)
+        assert structure_by_ranks(P.relation_matrix, [2]) == (free, ranks)
 
 
 class TestReduce:

@@ -170,6 +170,13 @@ class TestSymbolSum:
         x = SymbolSum([(s, 1), (s, -1)])
         assert x.is_zero()
 
+    @pytest.mark.parametrize("coeff", [1.5, 1.0, "x", None, True])
+    def test_non_integer_coefficient_is_an_input_error(self, coeff):
+        # no coercion: 1.5 would silently become 1, "x" a bare ValueError
+        s = full_group_symbol((3,), [(1,), (1,)], 2)
+        with pytest.raises(InputError, match="not an integer"):
+            SymbolSum({s: coeff})
+
     def test_merge_of_conjugate_terms(self, d8, d8_parts):
         s = d8_klein_symbol(d8, d8_parts)
         t = conjugate_symbol(s, d8_parts["rho"])

@@ -167,10 +167,10 @@ class TestSparseUnitPivots:
     def test_dense_loop_sees_only_the_residual(self, monkeypatch):
         # B_2(Z/23), 264 x 275: 250 unit pivots in the fill-reducing order
         # leave 3 rows on 25 columns.  For the divisors, the 3 x 24 block on
-        # the columns still held runs as 24 x 3 with no transform; for class
-        # coordinates, the 3 x 25 block runs once with its 25 transform
-        # columns.  The dense row and column operations act on those alone,
-        # never on the full matrix
+        # the columns still held runs as it stands, with no transform; for
+        # class coordinates, the 3 x 25 block runs once with its 25
+        # transform columns.  The dense row and column operations act on
+        # those alone, never on the full matrix
         touched = []
 
         def spy(op):
@@ -195,7 +195,7 @@ class TestSparseUnitPivots:
         for k in range(M.num_cols):  # the transform is built once per form
             F.image(k)
         assert touched == builds
-        for ops, (rows, cols) in ((divisors_only, (24, 3)), (touched, (3, 25))):
+        for ops, (rows, cols) in ((divisors_only, (3, 24)), (touched, (3, 25))):
             assert ops
             for name, height, width in ops:
                 if name in ("_swap_cols", "_add_col"):
@@ -248,6 +248,18 @@ class TestNormalFormMap:
         ):
             assert cli.run(argv) == 0
             assert capsys.readouterr().out == out
+
+    def test_membership_builds_the_transform_once(self, monkeypatch, capsys):
+        # B_3(Z/2 x Z/2 x Z/2) leaves a residual block, so the j = 3 rows
+        # reach the residual columns and are read through W: one build for
+        # the one form that verify-prop71 eliminates
+        built = []
+        spy_residual_transform(monkeypatch, built.append)
+        argv = ["verify-prop71", "--group", '{"invariant_factors":[2,2,2]}', "--n", "3"]
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
+        assert len(built) == 1
+        assert len(built[0].residual[1]) == RESIDUAL_SHAPES[(2, 2, 2)][0]
 
     def test_structure_and_reduce_class_run_one_smith_form(self, monkeypatch):
         # one elimination serves the divisors and the classes; the residual
