@@ -15,6 +15,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import InputError, InvariantError, PreconditionError
@@ -29,9 +30,11 @@ class AbelianGroup:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        facs = tuple(int(n) for n in self.invariant_factors)
+        facs = tuple(self.invariant_factors)
         object.__setattr__(self, "invariant_factors", facs)
         for n in facs:
+            if type(n) is not int:  # booleans too, as in the JSON checks
+                raise InvariantError(f"invariant factor {n!r} is not an integer")
             if n < 2:
                 raise InvariantError(f"invariant factor {n} < 2")
         for a, b in zip(facs, facs[1:]):
@@ -53,12 +56,24 @@ class AbelianGroup:
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
+    @cached_property
+    def relations(self) -> tuple[tuple[int, ...], ...]:
+        """The rows n_i e_i, whose span is the kernel of Z^r onto the group."""
+        r = self.rank
+        return tuple(
+            (0,) * i + (n,) + (0,) * (r - 1 - i)
+            for i, n in enumerate(self.invariant_factors)
+        )
+
     def reduce(self, vec) -> tuple[int, ...]:
-        vec = tuple(map(int, vec))
+        vec = tuple(vec)
         if len(vec) != self.rank:
             raise InputError(
                 f"character has length {len(vec)}, expected {self.rank}"
             )
+        for x in vec:
+            if type(x) is not int:
+                raise InputError(f"character entry {x!r} is not an integer")
         return tuple(map(operator.mod, vec, self.invariant_factors))
 
     def add(self, a, b) -> tuple[int, ...]:
@@ -146,9 +161,7 @@ def generates_reduced(A: AbelianGroup, beta) -> bool:
     """Whether the reduced characters in ``beta`` generate all of ``A``:
     whether they span Z^r together with the relations n_i e_i.  Nothing
     is validated; callers pass characters already of length r."""
-    facs, r = A.invariant_factors, A.rank
-    relations = ((0,) * i + (n,) + (0,) * (r - 1 - i) for i, n in enumerate(facs))
-    return _pivots([*beta, *relations], facs) == [1] * r
+    return _pivots([*beta, *A.relations], A.invariant_factors) == [1] * A.rank
 
 
 def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:

@@ -154,16 +154,33 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     return SymbolSum(out, _canonical=True)
 
 
+def _coded_generators(A: AbelianGroup, gens):
+    """The generators on coded characters, their index and the difference
+    table.  A character's code is its position in ``A.elements()``, which
+    is lexicographic, so sorted codes are sorted characters and the coded
+    generators keep their order; ``minus[a][x]`` is the code of x - a, its
+    mixed-radix digits the per-factor differences."""
+    facs = A.invariant_factors
+    weights = [math.prod(facs[i + 1 :]) for i in range(len(facs))]
+    code, minus = {}, []
+    for a in A.elements():
+        code[a] = len(minus)
+        digits = ([(x - y) % q * w for x in range(q)] for y, q, w in zip(a, facs, weights))
+        minus.append(list(map(sum, itertools.product(*digits))))
+    coded = [tuple(map(code.__getitem__, gen)) for gen in gens]
+    return coded, {gen: k for k, gen in enumerate(coded)}, minus
+
+
 def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     """Sparse relation matrix over the generators of a tuple-group presentation.
 
-    ``P`` supplies the group ``A``, the dimension ``n``, the generators and
-    their index.  One deduplicated row per generator, j from ``j_min`` to
-    ``j_max`` and sub-multiset of j of its characters: the generator minus
-    the sum of its transformed tuples, columns by ``P.generator_index``, rows
-    sorted as tuples of ``(column, value)`` items.  Before any is built, the
-    work of every j from 2 to ``j_max`` is bounded by ``n`` cells per
-    generator and position set, more than the sub-multisets visited.
+    ``P`` supplies the group ``A``, the dimension ``n`` and the generators.
+    One deduplicated row per generator, j from ``j_min`` to ``j_max`` and
+    sub-multiset of j of its characters: the generator minus the sum of its
+    transformed tuples, columns in generator order, rows sorted as tuples of
+    ``(column, value)`` items.  Before any is built, the work of every j
+    from 2 to ``j_max`` is bounded by ``n`` cells per generator and
+    position set, more than the sub-multisets visited.
     """
     A, n = P.A, P.n
     if not (2 <= j_min <= j_max <= n):
@@ -177,28 +194,26 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
                 "the relation rows visit more cells than the bound "
                 f"{MAX_RELATION_CELLS}"
             )
-    index = P.generator_index
-    # generator entries are reduced characters: subtract without validation
-    facs = A.invariant_factors
+    coded, index, minus = _coded_generators(A, gens)
     rows = set()
-    for gen in gens:
+    for k, gen in enumerate(coded):
         for j in range(j_min, j_max + 1):
             for head in set(itertools.combinations(gen, j)):
                 tail = list(gen)
                 for a in head:
                     tail.remove(a)
-                row = {index[gen]: 1}
+                row = {k: 1}
                 for t, a_i in enumerate(head):
-                    if a_i in head[:t]:
+                    if t and head[t - 1] == a_i:  # heads are sorted
                         continue
-                    transformed = [
-                        a_m if m == t
-                        else tuple((x - y) % q for x, y, q in zip(a_m, a_i, facs))
-                        for m, a_m in enumerate(head)
-                    ] + tail
-                    k = index[tuple(sorted(transformed))]
-                    row[k] = row.get(k, 0) - 1
-                items = tuple(sorted((c, v) for c, v in row.items() if v))
-                if items:
-                    rows.add(items)
+                    transformed = list(map(minus[a_i].__getitem__, head))
+                    transformed[t] = a_i
+                    transformed += tail
+                    transformed.sort()
+                    c = index[tuple(transformed)]
+                    row[c] = row.get(c, 0) - 1
+                if not row[k]:  # the generator was among its transforms
+                    del row[k]
+                if row:
+                    rows.add(tuple(sorted(row.items())))
     return SparseMatrix(tuple(sorted(rows)), len(gens))

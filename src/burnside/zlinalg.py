@@ -188,12 +188,18 @@ class SmithForm:
         )
 
 
-def _eliminate(rows, in_col, p, c, heap) -> None:
+def _eliminate(rows, in_col, p, c, heap) -> dict:
     """Sign-normalise row ``p`` at its unit in column ``c``, clear that
     column from every other row, pushing ``(length, r)`` onto ``heap`` for
-    each row r that then holds a +-1, and take ``p`` out of the index."""
-    prow = rows[p] = {j: x * rows[p][c] for j, x in rows[p].items()}
-    for r in in_col[c] - {p}:
+    each row r that then holds a +-1, take ``p`` out of the index, and
+    return its row."""
+    prow = rows[p]
+    if prow[c] == -1:
+        prow = rows[p] = {j: -x for j, x in prow.items()}
+    col, in_col[c] = in_col[c], set()  # column c is left to p alone
+    for r in col:
+        if r == p:
+            continue
         row, q = rows[r], rows[r][c]
         for j, x in prow.items():
             y = row.get(j, 0) - q * x
@@ -207,6 +213,7 @@ def _eliminate(rows, in_col, p, c, heap) -> None:
             heapq.heappush(heap, (len(row), r))
     for j in prow:
         in_col[j].discard(p)
+    return prow
 
 
 def smith_normal_form(M: SparseMatrix) -> SmithForm:
@@ -232,9 +239,10 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
         size, p = heapq.heappop(heap)
         if len(rows[p]) != size or not _has_unit(rows[p]):
             continue
-        c = min((len(in_col[j]), j) for j, x in rows[p].items() if x in (1, -1))[1]
-        _eliminate(rows, in_col, p, c, heap)
-        pivots.append((c, tuple((j, x) for j, x in rows[p].items() if j != c)))
+        c = min((len(in_col[j]), j) for j, x in rows[p].items() if x == 1 or x == -1)[1]
+        prow = _eliminate(rows, in_col, p, c, heap)
+        del prow[c]
+        pivots.append((c, tuple(prow.items())))
         rows[p] = {}
     block = tuple(row for row in rows if row)
     step = {c: s for s, (c, _) in enumerate(pivots)}

@@ -252,16 +252,18 @@ def structure_by_ranks(M, primes) -> tuple[int, dict]:
     return M.num_cols - rank, {p: rank - rank_mod(M, p) for p in primes}
 
 
-def dense_relation_rows(P, j_max: int) -> list[list[int]]:
-    """The relation matrix of a presentation built as full-width rows,
-    deduplicated and sorted as tuples: the library must match it."""
+def dense_relation_rows(P, j_max: int, j_min: int = 2) -> list[list[int]]:
+    """The relation matrix of a presentation built as full-width rows from
+    every position set, character tuples and all, deduplicated and in the
+    library's order, sorted by their ``(column, value)`` items: the
+    library's rows must be these, in this order."""
     n = P.n
     gens = P.generators
     index = P.generator_index
     facs = P.A.invariant_factors
     rows = set()
     for gen in gens:
-        for j in range(2, j_max + 1):
+        for j in range(j_min, j_max + 1):
             for positions in itertools.combinations(range(n), j):
                 head = [gen[p] for p in positions]
                 tail = [gen[p] for p in range(n) if p not in positions]
@@ -278,7 +280,8 @@ def dense_relation_rows(P, j_max: int) -> list[list[int]]:
                     row[index[tuple(sorted(transformed))]] -= 1
                 if any(row):
                     rows.add(tuple(row))
-    return [list(row) for row in sorted(rows)]
+    items = {row: tuple((c, v) for c, v in enumerate(row) if v) for row in rows}
+    return [list(row) for row in sorted(rows, key=items.__getitem__)]
 
 
 @functools.cache

@@ -1,18 +1,28 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from burnside import (
     AbelianGroup,
+    BnGPresentation,
     InputError,
     InvariantError,
     PreconditionError,
+    reduce_class,
     wedge_equivalent,
 )
 from burnside.abelian import _pivots
-from conftest import generates, group_json, laplace_det, minor_gcd, sparse_matrix
+from conftest import (
+    full_group_symbol,
+    generates,
+    group_json,
+    laplace_det,
+    minor_gcd,
+    sparse_matrix,
+)
 
 # primes with a product past 10**12
 P, Q = 1000003, 1000033
@@ -42,6 +52,28 @@ class TestAbelianGroup:
     def test_length_mismatch(self):
         with pytest.raises(InputError):
             AbelianGroup((2,)).reduce((1, 0))
+
+    def test_non_integer_entries_refused(self):
+        # a float is not truncated, and a string or a boolean is not read as
+        # an integer: an input error for a character, an invariant error for
+        # a factor (an input error through the JSON reader)
+        A = AbelianGroup((3,))
+        B2 = BnGPresentation(A, 2)
+        for x in (1.5, 1.0, Fraction(1), "1", None, True):
+            with pytest.raises(InputError, match="not an integer"):
+                A.reduce((x,))
+            with pytest.raises(InputError, match="not an integer"):
+                reduce_class(B2, {((x,), (1,)): 1})
+            with pytest.raises(InputError, match="not an integer"):
+                full_group_symbol((3,), [(x,)], 1)
+            with pytest.raises(InputError, match="not an integer"):
+                wedge_equivalent(A, [(x,)], [(1,)])
+            with pytest.raises(InvariantError, match="not an integer"):
+                AbelianGroup((x,))
+        with pytest.raises(InputError):
+            AbelianGroup.from_json('{"invariant_factors": [3.0]}')
+        # any iterable of integers is still a character
+        assert A.reduce(x for x in [4]) == A.reduce([4]) == A.add((2,), (2,)) == (1,)
 
     def test_json_roundtrip(self):
         A = AbelianGroup((2, 4))

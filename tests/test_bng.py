@@ -42,6 +42,10 @@ from conftest import (
 # single-generator class over ``digest_pairs()``, generators in presentation
 # order: the normal-form coordinates, byte for byte
 REDUCE_CLASS_DIGEST = "daa8f69f8714a61ec63863b8dd8e2c5a4523498b4689e11f928f922bc1998a32"
+# sha256 of one json.dumps line per presentation of ``digest_pairs()``: the
+# Smith form's divisors, unit pivots, steps and residual block, each row of
+# it in the elimination's own order: the elimination record, byte for byte
+SMITH_RECORD_DIGEST = "68ee67fb65ac77f1321db2adbfedc54ab2dfd74f0bb9d396b28d3b7deb5cfe81"
 
 
 def totient(m: int) -> int:
@@ -346,6 +350,18 @@ class TestReduce:
                 line = json.dumps([factors, n, gen, cls.free, cls.torsion])
                 h.update((line + "\n").encode())
         assert h.hexdigest() == REDUCE_CLASS_DIGEST
+
+    def test_smith_record_digest(self):
+        h = hashlib.sha256()
+        for factors, n in digest_pairs():
+            F = BnGPresentation(AbelianGroup(factors), n).smith_form
+            cols, block = F.residual
+            record = [
+                factors, n, F.divisors, F.pivots, sorted(F.step.items()),
+                [cols, [list(row.items()) for row in block]],
+            ]
+            h.update((json.dumps(record) + "\n").encode())
+        assert h.hexdigest() == SMITH_RECORD_DIGEST
 
     def test_normal_form_is_complete(self):
         # distinct multiples of a free generator stay distinct

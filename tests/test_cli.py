@@ -96,6 +96,11 @@ GOLDEN_CASES = [
         ["bng-equal", "--group", '{"invariant_factors":[7]}', "--n", "2",
          "--x", "[[0],[1]]", "--y", "[[1],[1]]"],
     ),
+    (
+        # 1,890 generators on 61 coded characters: free rank (61^2 + 23)/24
+        "bng_structure_z61_n2.json",
+        ["bng-structure", "--group", '{"invariant_factors":[61]}', "--n", "2"],
+    ),
 ]
 
 

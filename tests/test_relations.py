@@ -1,5 +1,4 @@
 import itertools
-from types import SimpleNamespace
 
 import pytest
 
@@ -17,6 +16,7 @@ from burnside import (
     expand_prop46,
     relation_rows,
 )
+from burnside import relations
 from burnside.relations import (
     VANISHED_COSET,
     VANISHED_EQUAL_WEIGHTS,
@@ -211,18 +211,20 @@ class TestRelationRows:
         assert all(any(r) for r in rows)
 
     def test_matches_dense_oracle_on_table(self):
-        # sparse rows, deduplicated; their order is not compared
+        # row for row and in order, which fixes the pivot order: from j = 2,
+        # and from j = 3 as verify-prop71 builds them
         for P, j in table_presentations():
-            M = relation_rows(P, j)
-            assert (sorted(dense_rows(M)), M.num_cols) == (
-                dense_relation_rows(P, j), len(P.generators)
-            ), (P.A, P.n, j)
+            for j_min in range(2, min(j, 3) + 1):
+                M = relation_rows(P, j, j_min)
+                assert (dense_rows(M), M.num_cols) == (
+                    dense_relation_rows(P, j, j_min), len(P.generators)
+                ), (P.A, P.n, j, j_min)
 
     def test_matches_dense_oracle_b2_z29(self):
         P = BnGPresentation(AbelianGroup((29,)), 2)
         M = relation_rows(P, 2)
         assert (M.num_rows, M.num_cols) == (420, 434)
-        assert sorted(dense_rows(M)) == dense_relation_rows(P, 2)
+        assert dense_rows(M) == dense_relation_rows(P, 2)
 
     def test_j_max_validation(self):
         A = AbelianGroup((3,))
@@ -252,10 +254,11 @@ class TestRelationRows:
         ]
         assert len(matching) == 1
 
-    def test_rows_visit_sub_multisets(self):
+    def test_rows_visit_sub_multisets(self, monkeypatch):
         # a row depends only on which characters sit at the j positions: on
-        # [2] at n = 15 one visit per position set makes about 1.4 million
-        # index lookups, one per sub-multiset about 2,000
+        # [2] at n = 15 one visit per position set makes about 880,000
+        # index lookups, one per sub-multiset about 1,300; the lookups are
+        # counted on the coded index relation_rows builds
         class CountingIndex(dict):
             lookups = 0
 
@@ -263,11 +266,16 @@ class TestRelationRows:
                 self.lookups += 1
                 return super().__getitem__(key)
 
-        P = BnGPresentation(AbelianGroup((2,)), 15)
-        index = CountingIndex(P.generator_index)
-        counted = SimpleNamespace(
-            A=P.A, n=P.n, generators=P.generators, generator_index=index
-        )
-        M = relation_rows(counted, 15)
+        coded_generators = relations._coded_generators
+        indexes = []
+
+        def counting(A, gens):
+            coded, index, minus = coded_generators(A, gens)
+            indexes.append(CountingIndex(index))
+            return coded, indexes[-1], minus
+
+        monkeypatch.setattr(relations, "_coded_generators", counting)
+        M = relation_rows(BnGPresentation(AbelianGroup((2,)), 15), 15)
         assert M.num_rows > 0
-        assert index.lookups < 10_000
+        assert len(indexes) == 1
+        assert 0 < indexes[0].lookups < 10_000
