@@ -3,7 +3,6 @@
 from .abelian import (
     AbelianGroup,
     apply_dual,
-    character_action,
     transport_characters,
     wedge_equivalent,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "SymbolSum",
     "apply_dual",
     "canonicalize_symbol",
-    "character_action",
     "combine",
     "conjugate_symbol",
     "construction_a",

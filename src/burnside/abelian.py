@@ -82,15 +82,6 @@ class AbelianGroup:
     def neg(self, a) -> tuple[int, ...]:
         return self.reduce(-x for x in self.reduce(a))
 
-    def sub(self, a, b) -> tuple[int, ...]:
-        return self.reduce(x - y for x, y in zip(self.reduce(a), self.reduce(b)))
-
-    def element_order(self, a) -> int:
-        a = self.reduce(a)
-        return math.lcm(
-            1, *(n // math.gcd(n, x) for x, n in zip(a, self.invariant_factors))
-        )
-
     def elements(self):
         """All elements in deterministic mixed-radix order."""
         for tup in itertools.product(*(range(n) for n in self.invariant_factors)):
@@ -196,19 +187,6 @@ def apply_dual(matrix, factors, char) -> tuple[int, ...]:
         sum(m * a for m, a in zip(row, char)) % n
         for row, n in zip(matrix, factors)
     )
-
-
-def character_action(G: FiniteGroup, g: int, H: SubgroupRef) -> list[list[int]]:
-    """Automorphism of the character group of ``H`` induced by conjugation.
-
-    ``g`` must normalize ``H``; the returned matrix expresses
-    ``a -> a o conj_{g^-1}`` on the invariant-factor character basis, so the
-    action is contravariant: acting by ``g * g'`` equals acting by ``g``
-    after acting by ``g'``.
-    """
-    if g not in H.normalizer:
-        raise PreconditionError(f"element {g} does not normalize the subgroup")
-    return transport_characters(G, H, H, g)
 
 
 def transport_characters(

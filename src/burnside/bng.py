@@ -51,6 +51,24 @@ def enumerate_generators(A: AbelianGroup, n: int):
     return [combo for combo in combos if generates_reduced(A, combo)]
 
 
+def _coded_generators(A: AbelianGroup, gens):
+    """The generator table: character -> code, coded generator -> column,
+    and the difference table.  A character's code is its position in
+    ``A.elements()``, which is lexicographic, so sorted codes are sorted
+    characters and the coded generators keep their order; ``minus[a][x]``
+    is the code of x - a, its mixed-radix digits the per-factor
+    differences."""
+    facs = A.invariant_factors
+    weights = [math.prod(facs[i + 1 :]) for i in range(len(facs))]
+    code, minus = {}, []
+    for a in A.elements():
+        code[a] = len(minus)
+        digits = ([(x - y) % q * w for x in range(q)] for y, q, w in zip(a, facs, weights))
+        minus.append(list(map(sum, itertools.product(*digits))))
+    index = {tuple(map(code.__getitem__, gen)): k for k, gen in enumerate(gens)}
+    return code, index, minus
+
+
 @dataclass(eq=False)
 class BnGPresentation:
     """Generators and sparse relation rows of the tuple group, cached."""
@@ -63,8 +81,10 @@ class BnGPresentation:
         return enumerate_generators(self.A, self.n)
 
     @cached_property
-    def generator_index(self) -> dict:
-        return {g: k for k, g in enumerate(self.generators)}
+    def coded_table(self) -> tuple[dict, dict, list]:
+        """(character -> code, coded generator -> column, difference table),
+        built once for the relation rows and the class queries."""
+        return _coded_generators(self.A, self.generators)
 
     @cached_property
     def relation_matrix(self) -> SparseMatrix:
@@ -81,13 +101,16 @@ class BnGPresentation:
         divisors = self.smith_form.divisors
         return divisors.count(0), [d for d in divisors if d > 1]
 
-    def coerce_generator(self, multiset) -> tuple:
-        key = tuple(sorted(self.A.reduce(c) for c in multiset))
-        if len(key) != self.n:
-            raise InputError(f"tuple has {len(key)} characters, not n = {self.n}")
-        if key not in self.generator_index:
-            raise InputError(f"tuple {key} is not a generator (must generate A)")
-        return key
+    def coerce_generator(self, multiset) -> int:
+        """The column of a generator given as a multiset of characters."""
+        chars = [self.A.reduce(c) for c in multiset]
+        if len(chars) != self.n:
+            raise InputError(f"tuple has {len(chars)} characters, not n = {self.n}")
+        code, index, _ = self.coded_table
+        k = index.get(tuple(sorted(map(code.__getitem__, chars))))
+        if k is None:
+            raise InputError(f"tuple {tuple(sorted(chars))} is not a generator (must generate A)")
+        return k
 
 
 @dataclass(frozen=True)
@@ -123,8 +146,8 @@ def reduce_class(P: BnGPresentation, x) -> BnGClass:
     F = P.smith_form
     # the sum of the generators' coordinates, each built on first use
     image = [0] * len(F.orders)
-    for gen, coeff in terms:
-        row = F.image(P.generator_index[gen])
+    for k, coeff in terms:
+        row = F.image(k)
         image = [y + coeff * v for y, v in zip(image, row)]
     free = tuple(y for y, d in zip(image, F.orders) if d == 0)
     torsion = tuple(y % d for y, d in zip(image, F.orders) if d)

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Inputs are inline JSON, a file path, or ``-`` for stdin.  Output is
+Inputs are inline JSON, a file path, or ``-`` for stdin; a file or stdin
+longer than ``MAX_INPUT_CHARS`` is a size error.  Output is
 deterministic byte-for-byte for a fixed request: JSON is emitted compact
 with sorted keys, CSV without quoting.  Exit codes: 0 success, 2 input
 error, 3 size error.
@@ -19,7 +20,7 @@ from .bng import (
     reduce_class,
 )
 from .errors import BurnsideError, InputError, SizeError, is_int_rows, load_json
-from .groups import FiniteGroup
+from .groups import MAX_GROUP_ORDER, FiniteGroup
 from .relations import expand_b2, relation_rows
 from .symbols import Atom, Symbol, canonicalize_symbol
 
@@ -27,18 +28,28 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_SIZE = 3
 
+# longest file or stdin input, in characters.  A Cayley table of order
+# MAX_GROUP_ORDER as compact JSON takes about 18 MB, 4.45 characters a
+# cell; 8 a cell also admits json.dumps's default ", " separators
+MAX_INPUT_CHARS = 8 * MAX_GROUP_ORDER**2
+
 
 def _read_value(value: str) -> str:
-    """Resolve an argument to text: stdin for ``-``, file contents, or inline."""
+    """Resolve an argument to text: stdin for ``-``, file contents, or
+    inline.  A file or stdin is read to one character past the bound."""
     if value == "-":
-        return sys.stdin.read()
-    if value.lstrip()[:1] not in ("{", "["):
+        text = sys.stdin.read(MAX_INPUT_CHARS + 1)
+    elif value.lstrip()[:1] not in ("{", "["):
         try:
             with open(value, encoding="utf-8") as fh:
-                return fh.read()
+                text = fh.read(MAX_INPUT_CHARS + 1)
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read input file {value!r}: {exc}") from exc
-    return value
+    else:
+        return value
+    if len(text) > MAX_INPUT_CHARS:
+        raise SizeError(f"input {value!r} is longer than the bound {MAX_INPUT_CHARS} characters")
+    return text
 
 
 def _dump(obj) -> str:

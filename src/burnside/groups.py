@@ -118,9 +118,6 @@ class FiniteGroup:
         tab = self.cayley
         return tab[tab[g][h]][self.inverse[g]]
 
-    def element_order(self, g: int) -> int:
-        return _element_orders((g,), self.mul, self.identity)[g]
-
     def closure(self, gens) -> frozenset:
         seen = {self.identity}
         frontier = [self.identity]
@@ -458,13 +455,12 @@ class SubgroupRef:
         tab, elems = G.cayley, [G.identity]
         for x, k in _radix_parents(factors):
             elems.append(tab[elems[x]][basis[k]])
-        coords = list(itertools.product(*(range(m) for m in factors)))
-        to_coords = dict(zip(elems, coords))
+        to_coords = dict(zip(elems, structure.elements()))
         if len(to_coords) != len(elems):
             raise InvariantError("abelian basis is not independent")
         if len(to_coords) != self.order:
             raise InvariantError("abelian basis does not span the subgroup")
-        return structure, basis, to_coords, dict(zip(coords, elems))
+        return structure, basis, to_coords
 
     def coords(self, elem: int) -> tuple[int, ...]:
         """Invariant-factor coordinates of a subgroup element."""
@@ -472,10 +468,6 @@ class SubgroupRef:
         if elem not in data[2]:
             raise InputError(f"element {elem} is not in the subgroup")
         return data[2][elem]
-
-    def element(self, coords) -> int:
-        data = self._structure_data
-        return data[3][self.structure.reduce(coords)]
 
     def char_value(self, char, elem: int) -> int:
         """Value of a character on an element, in Z/exponent (0 = trivial)."""

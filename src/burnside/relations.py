@@ -154,27 +154,10 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     return SymbolSum(out, _canonical=True)
 
 
-def _coded_generators(A: AbelianGroup, gens):
-    """The generators on coded characters, their index and the difference
-    table.  A character's code is its position in ``A.elements()``, which
-    is lexicographic, so sorted codes are sorted characters and the coded
-    generators keep their order; ``minus[a][x]`` is the code of x - a, its
-    mixed-radix digits the per-factor differences."""
-    facs = A.invariant_factors
-    weights = [math.prod(facs[i + 1 :]) for i in range(len(facs))]
-    code, minus = {}, []
-    for a in A.elements():
-        code[a] = len(minus)
-        digits = ([(x - y) % q * w for x in range(q)] for y, q, w in zip(a, facs, weights))
-        minus.append(list(map(sum, itertools.product(*digits))))
-    coded = [tuple(map(code.__getitem__, gen)) for gen in gens]
-    return coded, {gen: k for k, gen in enumerate(coded)}, minus
-
-
 def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     """Sparse relation matrix over the generators of a tuple-group presentation.
 
-    ``P`` supplies the group ``A``, the dimension ``n`` and the generators.
+    ``P`` supplies the dimension ``n``, the generators and their coded table.
     One deduplicated row per generator, j from ``j_min`` to ``j_max`` and
     sub-multiset of j of its characters: the generator minus the sum of its
     transformed tuples, columns in generator order, rows sorted as tuples of
@@ -182,7 +165,7 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     from 2 to ``j_max`` is bounded by ``n`` cells per generator and
     position set, more than the sub-multisets visited.
     """
-    A, n = P.A, P.n
+    n = P.n
     if not (2 <= j_min <= j_max <= n):
         raise InputError(f"need 2 <= j_min = {j_min} <= j_max = {j_max} <= n = {n}")
     gens = P.generators
@@ -194,9 +177,9 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
                 "the relation rows visit more cells than the bound "
                 f"{MAX_RELATION_CELLS}"
             )
-    coded, index, minus = _coded_generators(A, gens)
+    _, index, minus = P.coded_table
     rows = set()
-    for k, gen in enumerate(coded):
+    for gen, k in index.items():
         for j in range(j_min, j_max + 1):
             for head in set(itertools.combinations(gen, j)):
                 tail = list(gen)

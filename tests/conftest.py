@@ -259,7 +259,7 @@ def dense_relation_rows(P, j_max: int, j_min: int = 2) -> list[list[int]]:
     library's rows must be these, in this order."""
     n = P.n
     gens = P.generators
-    index = P.generator_index
+    index = {gen: k for k, gen in enumerate(gens)}
     facs = P.A.invariant_factors
     rows = set()
     for gen in gens:
@@ -519,15 +519,23 @@ def expand_prop46_reference(s, j) -> dict:
     up to sign, and the weights are restricted by comparing value tables."""
     G, H, beta = s.group, s.subgroup, s.beta
     A = H.structure
+    facs = A.invariant_factors
+
+    def add(a, b):
+        return tuple((x + y) % q for x, y, q in zip(a, b, facs))
+
+    def sub(a, b):
+        return tuple((x - y) % q for x, y, q in zip(a, b, facs))
+
     out = {}
     for size in range(1, j + 1):
         for I in itertools.combinations(range(j), size):
             i0 = I[0]
-            diffs = [A.sub(beta[i], beta[i0]) for i in I[1:]]
+            diffs = [sub(beta[i], beta[i0]) for i in I[1:]]
             span = A.subgroup_generated(diffs)
             seen = set()
             for rep in A.elements():
-                coset = frozenset(A.add(rep, u) for u in span)
+                coset = frozenset(add(rep, u) for u in span)
                 if coset in seen:
                     continue
                 seen.add(coset)
@@ -538,7 +546,7 @@ def expand_prop46_reference(s, j) -> dict:
                 if any(beta[k] in span for k in range(j, len(beta))):
                     continue
                 complement = [i for i in range(j) if i not in I]
-                new_beta = [beta[i0]] + [A.sub(beta[i], beta[i0]) for i in complement]
+                new_beta = [beta[i0]] + [sub(beta[i], beta[i0]) for i in complement]
                 new_beta += beta[j:]
                 if diffs:
                     Hbar = G.subgroup(

@@ -46,8 +46,8 @@ class TestAbelianGroup:
         A = AbelianGroup((2, 4))
         assert A.add((1, 3), (1, 2)) == (0, 1)
         assert A.neg((1, 3)) == (1, 1)
-        assert A.element_order((0, 1)) == 4
-        assert A.element_order((1, 2)) == 2
+        assert len(A.subgroup_generated([(0, 1)])) == 4
+        assert len(A.subgroup_generated([(1, 2)])) == 2
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):

@@ -189,6 +189,26 @@ class TestOneEnumeration:
         assert err.startswith("size error: the relation rows visit more cells")
 
 
+class TestOneTable:
+    def test_rows_and_classes_share_one_table(self, monkeypatch):
+        # the j = 2 rows, the j = 3 rows and a class query all read the
+        # presentation's one coded generator table
+        counted = []
+        original = burnside.bng._coded_generators
+
+        def counting(*args):
+            counted.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(burnside.bng, "_coded_generators", counting)
+        P = BnGPresentation(AbelianGroup((2, 4)), 3)
+        assert P.smith_form.contains(relation_rows(P, 3, 3))
+        reduce_class(P, {P.generators[-1]: 1})
+        assert len(counted) == 1
+        _, index, _ = P.coded_table
+        assert list(index.values()) == list(range(len(P.generators)))
+
+
 class TestStructure:
     def test_dimension_one_is_free_on_units(self):
         # no relations exist at dimension one

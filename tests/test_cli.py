@@ -147,6 +147,53 @@ class TestInputModes:
         assert proc.stderr.count("\n") == 1
 
 
+class TestInputBound:
+    def test_file_past_the_bound(self, tmp_path, monkeypatch, capsys):
+        # a file of exactly the bound is read; one character more is refused
+        path = tmp_path / "group.json"
+        path.write_text(Z3)
+        monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(Z3))
+        assert cli.run(["bng-structure", "--group", str(path), "--n", "2"]) == 0
+        assert capsys.readouterr().out == '{"free_rank":1,"torsion":[]}\n'
+        monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(Z3) - 1)
+        assert cli.run(["bng-structure", "--group", str(path), "--n", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"size error: input {str(path)!r} is longer than the bound 24 characters\n"
+
+    def test_stdin_past_the_bound(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_INPUT_CHARS", len(Z3))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Z3 + " "))
+        assert cli.run(["bng-structure", "--group", "-", "--n", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "size error: input '-' is longer than the bound 25 characters\n"
+
+    def test_endless_file(self):
+        # /dev/zero never ends: refused after one read past the bound
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "bng-structure", "--group", "/dev/zero", "--n", "2"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("size error: input '/dev/zero' is longer than")
+        assert proc.stderr.count("\n") == 1
+
+    def test_bound_admits_the_largest_table(self):
+        # every row of a Cayley table is a permutation of 0..order - 1, so
+        # rows are as long as range(order) is, under either separator
+        from burnside.groups import MAX_GROUP_ORDER
+
+        for separators in ((",", ":"), (", ", ": ")):
+            row = len(json.dumps(list(range(MAX_GROUP_ORDER)), separators=separators))
+            wrapper = json.dumps({"type": "table", "cayley": []}, separators=separators)
+            table = MAX_GROUP_ORDER * row + (MAX_GROUP_ORDER - 1) * len(separators[0])
+            assert len(wrapper) + table <= cli.MAX_INPUT_CHARS
+
+
 class TestExitCodes:
     def test_invalid_json_group(self):
         proc = run_cli("bng-structure", "--group", "{bad json", "--n", "2")
@@ -359,10 +406,7 @@ class TestExitCodes:
         assert cli.run([*argv, "--group", Z3, "--n", "2"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("input error: ")
-        assert err.count("\n") == 1
-        assert "3 characters" in err and "n = 2" in err
-        assert "generator" not in err
+        assert err == "input error: tuple has 3 characters, not n = 2\n"
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("command", ["bng-structure", "verify-prop71"])
@@ -379,11 +423,24 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stdout == ""
 
-    def test_non_generating_class(self):
-        proc = run_cli(
-            "bng-reduce", "--group", Z3, "--n", "2", "--class", "[[0],[0]]"
-        )
-        assert proc.returncode == 2
+    def test_non_generating_class(self, capsys):
+        # the tuple is named reduced and sorted, whatever the input's entries
+        for cls in ("[[0],[0]]", "[[3],[3]]"):
+            assert cli.run(["bng-reduce", "--group", Z3, "--n", "2", "--class", cls]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (
+                "input error: tuple ((0,), (0,)) is not a generator (must generate A)\n"
+            )
+
+    def test_unreduced_class_reads_as_reduced(self, capsys):
+        # entries are reduced modulo the factors and the multiset sorted
+        # before the generator is looked up
+        forms = []
+        for cls in ("[[1],[2]]", "[[4],[5]]", "[[5],[-2]]"):
+            assert cli.run(["bng-reduce", "--group", Z3, "--n", "2", "--class", cls]) == 0
+            forms.append(capsys.readouterr().out)
+        assert forms[0] == forms[1] == forms[2]
 
 
 class TestOtherCommands:

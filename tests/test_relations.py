@@ -16,7 +16,7 @@ from burnside import (
     expand_prop46,
     relation_rows,
 )
-from burnside import relations
+from burnside import bng
 from burnside.relations import (
     VANISHED_COSET,
     VANISHED_EQUAL_WEIGHTS,
@@ -258,7 +258,7 @@ class TestRelationRows:
         # a row depends only on which characters sit at the j positions: on
         # [2] at n = 15 one visit per position set makes about 880,000
         # index lookups, one per sub-multiset about 1,300; the lookups are
-        # counted on the coded index relation_rows builds
+        # counted on the coded index of the presentation's generator table
         class CountingIndex(dict):
             lookups = 0
 
@@ -266,15 +266,15 @@ class TestRelationRows:
                 self.lookups += 1
                 return super().__getitem__(key)
 
-        coded_generators = relations._coded_generators
+        coded_generators = bng._coded_generators
         indexes = []
 
         def counting(A, gens):
-            coded, index, minus = coded_generators(A, gens)
+            code, index, minus = coded_generators(A, gens)
             indexes.append(CountingIndex(index))
-            return coded, indexes[-1], minus
+            return code, indexes[-1], minus
 
-        monkeypatch.setattr(relations, "_coded_generators", counting)
+        monkeypatch.setattr(bng, "_coded_generators", counting)
         M = relation_rows(BnGPresentation(AbelianGroup((2,)), 15), 15)
         assert M.num_rows > 0
         assert len(indexes) == 1
