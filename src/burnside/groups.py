@@ -22,6 +22,10 @@ from .errors import is_int_rows, load_json
 MAX_ABELIAN_SUBGROUPS = 5000
 # largest order of a group a constructor builds: its table has order² cells
 MAX_GROUP_ORDER = 2000
+# points a permutation closure stores, degree per element: as many as the
+# largest table has cells, so every group fits on as many points as its
+# order (its regular representation); 4 million points take 32 MiB
+MAX_PERMUTATION_POINTS = MAX_GROUP_ORDER**2
 
 
 def _table_rows(left, parents) -> tuple:
@@ -49,20 +53,20 @@ def _radix_parents(factors) -> list:
 class FiniteGroup:
     """A finite group given by its Cayley table over element indices."""
 
-    def __init__(self, cayley, identity=None, _trusted=False):
-        # the constructors hand over square arrays of entries in range
-        table = tuple(cayley if _trusted else (tuple(map(int, r)) for r in cayley))
+    def __init__(self, cayley, _trusted=False):
+        # the constructors hand over square arrays in range, identity at 0
+        table = tuple(cayley if _trusted else map(tuple, cayley))
         n = len(table)
         if not _trusted:
+            if not {int}.issuperset(map(type, itertools.chain.from_iterable(table))):
+                raise InputError("Cayley table entries must be integers")
             if any(len(row) != n for row in table):
                 raise InputError("Cayley table must be square")
             if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
                 raise InputError("Cayley table entries out of range")
         self.cayley = table
         self.order = n
-        if identity is None:
-            identity = self._find_identity()
-        self.identity = identity
+        self.identity = identity = 0 if _trusted else self._find_identity()
         if not _trusted:
             self._check_axioms()
         try:
@@ -144,15 +148,18 @@ class FiniteGroup:
 
         Elements are indexed breadth-first from the identity, applying the
         generators in their given order, so the indexing is deterministic.
-        Work is proportional to the generators, not to ``degree``.
+        Each element stores ``degree`` points, and both counts are bounded;
+        with no generators nothing of size ``degree`` is built.
         """
         gens = []
         for p in perms:
-            p = tuple(int(x) for x in p)
-            if len(p) != degree or sorted(p) != list(range(degree)):
+            p = tuple(p)
+            ints = {int}.issuperset(map(type, p))  # booleans are not int
+            if len(p) != degree or not ints or sorted(p) != list(range(degree)):
                 raise InputError(f"not a permutation of {degree} points: {p}")
             gens.append(p)
         ident = tuple(range(degree if gens else 0))
+        cap = min(MAX_GROUP_ORDER, MAX_PERMUTATION_POINTS // max(degree, 1))
         elems, index = [ident], {ident: 0}
         left, parents = [[] for _ in gens], []
         for x, cur in enumerate(elems):
@@ -160,15 +167,16 @@ class FiniteGroup:
                 nxt = tuple(map(g.__getitem__, cur))
                 j = index.get(nxt)
                 if j is None:
-                    if len(elems) >= MAX_GROUP_ORDER:
+                    if len(elems) >= cap:
                         raise SizeError(
-                            f"permutation closure exceeds bound {MAX_GROUP_ORDER}"
+                            f"permutation closure exceeds bound {cap} "
+                            f"on elements of {degree} points"
                         )
                     j = index[nxt] = len(elems)
                     elems.append(nxt)
                     parents.append((x, k))
                 left[k].append(j)
-        return FiniteGroup(_table_rows(left, parents), identity=0, _trusted=True)
+        return FiniteGroup(_table_rows(left, parents), _trusted=True)
 
     @staticmethod
     def from_invariant_factors(factors) -> "FiniteGroup":
@@ -183,7 +191,7 @@ class FiniteGroup:
             [x - x % (q * s) + (x + s) % (q * s) for x in range(A.order)]
             for q, s in zip(facs, strides)
         ]
-        return FiniteGroup(_table_rows(left, _radix_parents(facs)), 0, _trusted=True)
+        return FiniteGroup(_table_rows(left, _radix_parents(facs)), _trusted=True)
 
     @staticmethod
     def from_json(text: str) -> "FiniteGroup":
@@ -305,12 +313,11 @@ class FiniteGroup:
             key = tuple(sorted(set(elems)))
         except TypeError:
             raise InputError("subgroup elements must be integers") from None
+        # before the lookup: a float key (0.0 == 0) would find the int one
+        if not {int}.issuperset(map(type, key)):
+            raise InputError("subgroup elements must be integers")
         refs = self._subgroup_refs
         if key not in refs:
-            # only a miss interns the key; a hit on float keys (0.0 == 0)
-            # returns the ref with int elements
-            if any(type(g) is not int for g in key):
-                raise InputError("subgroup elements must be integers")
             if key and not 0 <= key[0] <= key[-1] < self.order:
                 raise InputError(f"subgroup elements must lie in 0..{self.order - 1}")
             # a finite nonempty set S with S S in S is a subgroup (G is one)
@@ -407,10 +414,6 @@ class SubgroupRef:
     group: FiniteGroup
     elements: tuple[int, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     @cached_property
     def normalizer(self) -> tuple[int, ...]:
         return self.group.normalizer(self.elements)
@@ -458,7 +461,7 @@ class SubgroupRef:
         to_coords = dict(zip(elems, structure.elements()))
         if len(to_coords) != len(elems):
             raise InvariantError("abelian basis is not independent")
-        if len(to_coords) != self.order:
+        if len(to_coords) != len(self.elements):
             raise InvariantError("abelian basis does not span the subgroup")
         return structure, basis, to_coords
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 from .abelian import AbelianGroup, apply_dual, transport_characters
 from .errors import InputError, SizeError
-from .symbols import (
-    Symbol,
-    SymbolSum,
-    canonicalize_symbol,
-    combine,
-    construction_a,
-)
+from .symbols import Symbol, SymbolSum, combine, construction_a
 from .zlinalg import SparseMatrix
 
 # Relation-matrix work in cells.  bng prices the candidate multisets as if
@@ -147,11 +141,7 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     the canonical terms of every admissible index set, with multiplicity."""
     if not (2 <= j <= len(s.beta)):
         raise InputError(f"j = {j} out of range for {len(s.beta)} weights")
-    out: dict[Symbol, int] = {}
-    for _, term in _blowup_terms(s, s.beta, j):
-        term = canonicalize_symbol(term)
-        out[term] = out.get(term, 0) + 1
-    return SymbolSum(out, _canonical=True)
+    return SymbolSum((term, 1) for _, term in _blowup_terms(s, s.beta, j))
 
 
 def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:

@@ -168,18 +168,18 @@ class Symbol:
 
 
 class SymbolSum:
-    """A finite integer combination of canonical symbols."""
+    """A finite integer combination of symbols, each key canonicalized by
+    the constructor."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None, _canonical=False):
+    def __init__(self, terms=None):
         data: dict[Symbol, int] = {}
         if terms:
             for sym, coeff in (
                 terms.items() if isinstance(terms, dict) else terms
             ):
-                if not _canonical:
-                    sym = canonicalize_symbol(sym)
+                sym = canonicalize_symbol(sym)
                 if type(coeff) is not int:  # booleans too, as in reduce_class
                     raise InputError(f"coefficient {coeff!r} is not an integer")
                 if coeff:
@@ -229,7 +229,7 @@ def combine(x: SymbolSum, y: SymbolSum, cx: int, cy: int) -> SymbolSum:
     terms = {sym: cx * c for sym, c in x.terms.items()}
     for sym, c in y.terms.items():
         terms[sym] = terms.get(sym, 0) + cy * c
-    return SymbolSum(terms, _canonical=True)
+    return SymbolSum(terms)
 
 
 def conjugate_symbol(s: Symbol, g: int) -> Symbol:

@@ -50,7 +50,7 @@ def apply_b1(x):
         A, beta = sym.subgroup.structure, sym.beta
         return any(A.neg(a) in beta[:i] + beta[i + 1 :] for i, a in enumerate(beta))
 
-    return SymbolSum({s: c for s, c in x.terms.items() if not inverse_pair(s)}, _canonical=True)
+    return SymbolSum({s: c for s, c in x.terms.items() if not inverse_pair(s)})
 
 
 def row_space_equal(M1, M2) -> bool:

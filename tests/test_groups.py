@@ -115,6 +115,42 @@ class TestConstruction:
         with pytest.raises(SizeError):
             FiniteGroup.from_permutations(4, [[1, 2, 3, 0], [2, 1, 0, 3]])
 
+    def test_closure_bound_on_stored_points(self, monkeypatch):
+        # D8 on 4 points stores 8 elements of 4 points: 32 points
+        monkeypatch.setattr(burnside.groups, "MAX_PERMUTATION_POINTS", 32)
+        assert FiniteGroup.from_permutations(4, D8_GENERATORS).order == 8
+        monkeypatch.setattr(burnside.groups, "MAX_PERMUTATION_POINTS", 31)
+        with pytest.raises(SizeError, match="points"):
+            FiniteGroup.from_permutations(4, D8_GENERATORS)
+
+    def test_long_cycle_stops_at_the_point_bound(self):
+        # a 20,000-cycle would store 2,000 elements of 20,000 points, 320 MB,
+        # before the order bound; the point bound stops it at 200 elements
+        cycle = [*range(1, 20_000), 0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeError):
+                FiniteGroup.from_permutations(20_000, [cycle])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize(
+        "perm", [[1.9, 0], [True, False], [1.0, 0], ["1", "0"]]
+    )
+    def test_permutation_entries_must_be_ints(self, perm):
+        with pytest.raises(InputError):
+            FiniteGroup.from_permutations(2, [perm])
+
+    @pytest.mark.parametrize(
+        "table",
+        [[[0, 1.5], [1, 0]], [["0", "1"], ["1", "0"]], [[True, False], [False, True]]],
+    )
+    def test_cayley_entries_must_be_ints(self, table):
+        with pytest.raises(InputError, match="integers"):
+            FiniteGroup(table)
+
     def test_bad_cayley_tables(self):
         with pytest.raises(InputError):
             FiniteGroup([[0, 1], [1]])
@@ -253,9 +289,9 @@ class TestSubgroups:
     def test_d8_abelian_subgroup_classes(self, d8):
         classes = d8.abelian_subgroup_classes()
         # 1, Z(=<rho^2>), two reflection classes, <rho>, two Klein groups
-        assert [c.order for c in classes] == [1, 2, 2, 2, 4, 4, 4]
+        assert [len(c.elements) for c in classes] == [1, 2, 2, 2, 4, 4, 4]
         structures = sorted(
-            c.structure.invariant_factors for c in classes if c.order == 4
+            c.structure.invariant_factors for c in classes if len(c.elements) == 4
         )
         assert structures == [(2, 2), (2, 2), (4,)]
 
@@ -321,8 +357,8 @@ class TestSubgroups:
             raise AssertionError("abelian subgroups enumerated")
 
         monkeypatch.setattr(FiniteGroup, "_abelian_subgroups", property(refuse))
-        assert G.subgroup(range(G.order)).order == 60
-        assert G.subgroup(G.closure([7])).order == len(G.closure([7])) == 30
+        assert len(G.subgroup(range(G.order)).elements) == 60
+        assert len(G.subgroup(G.closure([7])).elements) == len(G.closure([7])) == 30
 
     def test_is_abelian_matches_pairwise_test(self, request):
         for name in ("d8", "s4", "a5", "z2^4", "z60"):
@@ -345,7 +381,7 @@ class TestSubgroups:
         G._class_info
         monkeypatch.undo()
         assert len(calls) <= G.order * sum(
-            rep.order for rep in G.abelian_subgroup_classes()
+            len(rep.elements) for rep in G.abelian_subgroup_classes()
         )
 
     def test_normalizer_needs_abelian_subgroup(self, d8, d8_parts):
@@ -394,8 +430,9 @@ class TestSubgroups:
         H = G.subgroup([0, 1])
         assert H.elements == (0, 1) and all(type(g) is int for g in H.elements)
         assert H.structure.invariant_factors == (2,)
-        # once interned, equal float keys find the int ref
-        assert G.subgroup([1.0, 0.0]) is H
+        # once interned, equal float keys are still refused
+        with pytest.raises(InputError, match="integers"):
+            G.subgroup([1.0, 0.0])
 
     def test_subgroup_is_interned(self, d8, d8_parts):
         # one object per element set, whatever the order or repetition
