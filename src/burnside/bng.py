@@ -31,7 +31,9 @@ def enumerate_generators(A: AbelianGroup, n: int):
     cells implied by the candidate count are bounded: a row per candidate
     and pair of positions, a column per candidate, plus a square block.
     The count C(|A| - 1 + n, n) is a running product over the smaller of
-    n and |A| - 1, stopped once its square alone is over the bound.
+    n and |A| - 1, stopped once its square alone is over the bound.  A
+    multiset holding a character that generates ``A`` alone generates it,
+    so only the others take the rank test.
     """
     if n < 1:
         raise InputError(f"dimension n = {n} must be positive")
@@ -46,9 +48,12 @@ def enumerate_generators(A: AbelianGroup, n: int):
             "the candidate multisets imply more relation-matrix cells than "
             f"the bound {MAX_RELATION_CELLS}"
         )
-    combos = itertools.combinations_with_replacement(A.elements(), n)
     # the elements are reduced characters: test without validation
-    return [combo for combo in combos if generates_reduced(A, combo)]
+    elements = list(A.elements())
+    alone = {a for a in elements if generates_reduced(A, (a,))}
+    combos = itertools.combinations_with_replacement(elements, n)
+    # at n = 1 a candidate is one character, already tested
+    return [c for c in combos if not alone.isdisjoint(c) or n > 1 and generates_reduced(A, c)]
 
 
 def _coded_generators(A: AbelianGroup, gens):

@@ -202,29 +202,51 @@ COMMANDS = {
 }
 
 
+def _named(argv):
+    """The subcommand ``argv[0]`` names, or None."""
+    return argv[0] if argv and argv[0] in COMMANDS else None
+
+
+def _command(parser, name):
+    """Give ``parser`` the flags and the handler of subcommand ``name``."""
+    func, flags = COMMANDS[name]
+    for flag, kwargs in flags.items():
+        parser.add_argument(flag, **kwargs)
+    parser.set_defaults(func=func, command=name)
+
+
 def build_parser(argv=()) -> argparse.ArgumentParser:
-    """A parser with only the subcommand ``argv[0]`` names; with all of
-    them when it names none, for root help and the invalid-choice error."""
+    """The parser of the subcommand ``argv[0]`` names, alone, for the rest
+    of ``argv``; the root parser with all of them when it names none, for
+    root help and the invalid-choice error."""
+    name = _named(argv)
+    if name is not None:
+        parser = _Parser(prog="burnside " + name)
+        _command(parser, name)
+        return parser
     parser = _Parser(
         prog="burnside",
         description="Exact symbol calculus for equivariant Burnside groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in argv[:1] if argv and argv[0] in COMMANDS else COMMANDS:
-        func, flags = COMMANDS[name]
-        p = sub.add_parser(name)
-        for flag, kwargs in flags.items():
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
+    for name in COMMANDS:
+        _command(sub.add_parser(name), name)
     return parser
+
+
+def parse_args(argv) -> argparse.Namespace:
+    """``argv`` parsed by the parser ``build_parser`` gives for it: a
+    named subcommand's parser reads the rest of the line, the root parser
+    all of it."""
+    parser = build_parser(argv)
+    return parser.parse_args(argv[1:] if _named(argv) else argv)
 
 
 def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         sys.stdout.write(args.func(args))
         return EXIT_OK
     except SizeError as exc:

@@ -26,6 +26,19 @@ MAX_GROUP_ORDER = 2000
 # largest table has cells, so every group fits on as many points as its
 # order (its regular representation); 4 million points take 32 MiB
 MAX_PERMUTATION_POINTS = MAX_GROUP_ORDER**2
+# point images a permutation closure may compute, priced before it starts as
+# element cap x distinct generators x degree: 16 generators at the point
+# bound, where any group of order <= MAX_GROUP_ORDER needs at most 10
+MAX_CLOSURE_IMAGES = 16 * MAX_PERMUTATION_POINTS
+
+
+def _head(p, width=48) -> str:
+    """A permutation for a message: a prefix of about ``width`` characters
+    and its length."""
+    text = str(list(p[:width]))
+    if len(text) > width:
+        text = text[:width].rsplit(", ", 1)[0] + ", ...]"
+    return f"{text} of length {len(p)}"
 
 
 def _table_rows(left, parents) -> tuple:
@@ -149,17 +162,27 @@ class FiniteGroup:
         Elements are indexed breadth-first from the identity, applying the
         generators in their given order, so the indexing is deterministic.
         Each element stores ``degree`` points, and both counts are bounded;
-        with no generators nothing of size ``degree`` is built.
+        with no generators nothing of size ``degree`` is built.  A repeated
+        generator never adds an element, so it is dropped; the work left,
+        at most the element cap times the generators times ``degree``
+        point images, is bounded before the closure starts.
         """
         gens = []
         for p in perms:
             p = tuple(p)
             ints = {int}.issuperset(map(type, p))  # booleans are not int
             if len(p) != degree or not ints or sorted(p) != list(range(degree)):
-                raise InputError(f"not a permutation of {degree} points: {p}")
+                raise InputError(f"not a permutation of {degree} points: {_head(p)}")
             gens.append(p)
+        gens = list(dict.fromkeys(gens))
         ident = tuple(range(degree if gens else 0))
         cap = min(MAX_GROUP_ORDER, MAX_PERMUTATION_POINTS // max(degree, 1))
+        if cap * len(gens) * degree > MAX_CLOSURE_IMAGES:
+            raise SizeError(
+                f"permutation closure of {len(gens)} generators on {degree} points "
+                f"may compute {cap * len(gens) * degree} point images, past the "
+                f"bound {MAX_CLOSURE_IMAGES}"
+            )
         elems, index = [ident], {ident: 0}
         left, parents = [[] for _ in gens], []
         for x, cur in enumerate(elems):

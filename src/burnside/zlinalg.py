@@ -192,20 +192,26 @@ def _eliminate(rows, in_col, p, c, heap) -> dict:
     """Sign-normalise row ``p`` at its unit in column ``c``, clear that
     column from every other row, pushing ``(length, r)`` onto ``heap`` for
     each row r that then holds a +-1, take ``p`` out of the index, and
-    return its row."""
+    return its row without column ``c``."""
     prow = rows[p]
     if prow[c] == -1:
         prow = rows[p] = {j: -x for j, x in prow.items()}
+    del prow[c]
     col, in_col[c] = in_col[c], set()  # column c is left to p alone
     for r in col:
         if r == p:
             continue
-        row, q = rows[r], rows[r][c]
+        row = rows[r]
+        q = row.pop(c)
         for j, x in prow.items():
-            y = row.get(j, 0) - q * x
+            y = row.get(j)
+            if y is None:  # a new entry: nonzero, as q and x are
+                row[j] = -q * x
+                in_col[j].add(r)
+                continue
+            y -= q * x
             if y:
                 row[j] = y
-                in_col[j].add(r)
             else:
                 del row[j]
                 in_col[j].discard(r)
@@ -241,7 +247,6 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
             continue
         c = min((len(in_col[j]), j) for j, x in rows[p].items() if x == 1 or x == -1)[1]
         prow = _eliminate(rows, in_col, p, c, heap)
-        del prow[c]
         pivots.append((c, tuple(prow.items())))
         rows[p] = {}
     block = tuple(row for row in rows if row)

@@ -76,10 +76,19 @@ class TestEnumeration:
 
     @pytest.mark.parametrize(
         "factors,n",
-        [((12,), 3), ((2, 2), 4), ((3, 6), 2), ((2, 4), 3), ((2, 2, 2), 3)],
+        [
+            ((12,), 3), ((2, 2), 4), ((3, 6), 2), ((2, 4), 3), ((2, 2, 2), 3),
+            # cyclic: nearly every candidate holds a generator (prime), or
+            # many hold none and take the rank test (composite)
+            ((7,), 2), ((12,), 2),
+            ((), 2), ((), 1),  # trivial: the one character generates
+            ((2, 2), 2), ((2, 2), 1),  # rank 2: no character generates alone
+            ((12,), 1), ((7,), 1),
+        ],
     )
     def test_matches_closure_filter(self, factors, n):
-        # the unvalidated generation test against the BFS span
+        # the unvalidated generation test, and its one-generator shortcut,
+        # against the BFS span
         A = AbelianGroup(factors)
         want = [
             combo
@@ -87,6 +96,23 @@ class TestEnumeration:
             if len(A.subgroup_generated(combo)) == A.order
         ]
         assert enumerate_generators(A, n) == want
+
+    @pytest.mark.parametrize(
+        "factors,n,tests", [((7,), 2, 7 + 1), ((7,), 1, 7), ((2, 2), 2, 4 + 10)]
+    )
+    def test_rank_test_skipped_when_a_character_generates(self, monkeypatch, factors, n, tests):
+        # one test per character, then one per multiset holding no generator
+        # of A: (0, 0) alone on Z/7; each n = 1 candidate tested once
+        calls = []
+        real = burnside.bng.generates_reduced
+
+        def counting(A, beta):
+            calls.append(beta)
+            return real(A, beta)
+
+        monkeypatch.setattr(burnside.bng, "generates_reduced", counting)
+        enumerate_generators(AbelianGroup(factors), n)
+        assert len(calls) == tests
 
 
 class TestNoClosureOnEnumeration:

@@ -393,6 +393,20 @@ class TestExitCodes:
         assert err.startswith("input error: ")
         assert err.count("\n") == 1
 
+    def test_bad_permutation_message_is_short(self, tmp_path, capsys):
+        # a 200,000-point generator with a repeated point: the message echoes
+        # a prefix and the length, not 1.5 MB of the permutation
+        d = 200_000
+        path = tmp_path / "group.json"
+        path.write_text(json.dumps({"type": "permutation", "degree": d,
+                                    "generators": [[0, *range(d - 1)]]}))
+        assert cli.run(["canon", "--group", str(path), "--symbol", "{}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"input error: not a permutation of {d} points: [0, 0, 1, ")
+        assert err.endswith(f", ...] of length {d}\n")
+        assert len(err.encode()) < 200 and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -651,13 +665,13 @@ class TestFuzz:
         assert err.getvalue().count("\n") <= 1
 
 
-def _parse(parser, argv):
-    """What a parser makes of argv: the namespace, the usage error, or the
+def _parse(parse, argv):
+    """What ``parse`` makes of argv: the namespace, the usage error, or the
     help text and exit code."""
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out):
-            return vars(parser.parse_args(argv))
+            return vars(parse(argv))
     except InputError as exc:
         return str(exc)
     except SystemExit as exc:
@@ -680,31 +694,37 @@ PARSE_ARGVS = [
 
 
 class TestParserPerCommand:
-    """A call builds only the subcommand its first argument names, and
-    that parser answers every command line as the full parser does."""
+    """A call builds only the parser of the subcommand its first argument
+    names, and, fed the rest of the line as ``run`` feeds it, that parser
+    answers every command line as the full parser does."""
 
     @pytest.mark.parametrize("argv", PARSE_ARGVS)
     def test_same_as_full_parser(self, argv):
-        got = _parse(cli.build_parser(argv), argv)
-        assert got == _parse(cli.build_parser(), argv)
+        got = _parse(cli.parse_args, argv)
+        assert got == _parse(cli.build_parser().parse_args, argv)
 
     def test_named_command_builds_one_subparser(self, monkeypatch):
         built = []
-        add_parser = argparse._SubParsersAction.add_parser
+        init = argparse.ArgumentParser.__init__
 
-        def counting(self, name, **kwargs):
-            built.append(name)
-            return add_parser(self, name, **kwargs)
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        def subcommands(parser):
+            return [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
         for name in cli.COMMANDS:
             built.clear()
             cli.build_parser([name, "--help"])
-            assert built == [name]
+            assert [p.prog for p in built] == [f"burnside {name}"]
+            assert subcommands(built[0]) == []
         for argv in ([], ["--help"], ["bogus"], ["-h", "canon"]):
             built.clear()
             cli.build_parser(argv)
-            assert built == list(cli.COMMANDS)
+            assert [p.prog for p in built[1:]] == [f"burnside {n}" for n in cli.COMMANDS]
+            assert len(subcommands(built[0])) == 1
 
     def test_full_parser_lists_the_table_in_order(self):
         (sub,) = (

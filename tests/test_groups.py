@@ -123,6 +123,31 @@ class TestConstruction:
         with pytest.raises(SizeError, match="points"):
             FiniteGroup.from_permutations(4, D8_GENERATORS)
 
+    def test_repeated_generators_are_dropped(self, monkeypatch):
+        # a repeat adds no element: the same table, priced as one generator
+        cycle = [*range(1, 200), 0]
+        once = FiniteGroup.from_permutations(200, [cycle])
+        monkeypatch.setattr(burnside.groups, "MAX_CLOSURE_IMAGES", MAX_GROUP_ORDER * 200)
+        repeated = FiniteGroup.from_permutations(200, [cycle] * 50)
+        assert repeated.cayley == once.cayley
+
+    def test_closure_work_bound(self, monkeypatch):
+        # D8 on 4 points: element cap MAX_GROUP_ORDER, 2 generators, 4 points
+        work = MAX_GROUP_ORDER * 2 * 4
+        monkeypatch.setattr(burnside.groups, "MAX_CLOSURE_IMAGES", work)
+        assert FiniteGroup.from_permutations(4, D8_GENERATORS).order == 8
+        monkeypatch.setattr(burnside.groups, "MAX_CLOSURE_IMAGES", work - 1)
+        with pytest.raises(SizeError, match="point images"):
+            FiniteGroup.from_permutations(4, D8_GENERATORS)
+
+    def test_many_generators_refused_before_the_closure(self):
+        # 20 distinct powers of a 2,000-cycle generate only Z/2000, but
+        # would take 80 million point images; priced before the first
+        d = 2000
+        powers = [[(i + k) % d for i in range(d)] for k in range(1, 21)]
+        with pytest.raises(SizeError, match="20 generators on 2000 points"):
+            FiniteGroup.from_permutations(d, powers)
+
     def test_long_cycle_stops_at_the_point_bound(self):
         # a 20,000-cycle would store 2,000 elements of 20,000 points, 320 MB,
         # before the order bound; the point bound stops it at 200 elements
