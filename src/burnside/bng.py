@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abelian import AbelianGroup, generates_reduced
+from .abelian import AbelianGroup
 from .errors import DomainError, InputError, ProvenanceError, SizeError
 from .relations import MAX_RELATION_CELLS, relation_rows
 from .symbols import Atom, ConstrA, Symbol
@@ -24,17 +24,31 @@ from .zlinalg import SmithForm, SparseMatrix, smith_normal_form
 
 
 def enumerate_generators(A: AbelianGroup, n: int):
-    """All size-``n`` multisets of characters of ``A`` that generate ``A``.
+    """The size-``n`` multisets of characters generating ``A``, sorted."""
+    return BnGPresentation(A, n).generators
 
-    Zero entries are allowed; the output order is deterministic (sorted
-    tuples of character vectors, lexicographic).  Before any is built, the
-    cells implied by the candidate count are bounded: a row per candidate
-    and pair of positions, a column per candidate, plus a square block.
-    The count C(|A| - 1 + n, n) is a running product over the smaller of
-    n and |A| - 1, stopped once its square alone is over the bound.  A
-    multiset holding a character that generates ``A`` alone generates it,
-    so only the others take the rank test.
-    """
+
+def _maximal_masks(A: AbelianGroup) -> list[int]:
+    """Per character code, bit b set when it is in the kernel of the b-th line
+    a -> sum c_i a_i of Hom(A, Z/p), p prime (first nonzero c_i = 1): these are
+    the maximal subgroups, so characters generate A exactly when masks AND to 0."""
+    facs, e, masks, bit = A.invariant_factors, A.exponent, [0] * A.order, 1
+    for p in (p for p in range(2, e + 1) if e % p == 0 and all(p % d for d in range(2, p))):
+        for coef in itertools.product(*(range(p if q % p == 0 else 1) for q in facs)):
+            if next(filter(None, coef), 0) == 1:  # one coefficient vector a line
+                res = [0]  # the line's values in code order, last entry fastest
+                for q, c in zip(facs, coef):
+                    res = [(x + c * y) % p for x in res for y in range(q)]
+                masks = [m if x else m | bit for m, x in zip(masks, res)]
+                bit <<= 1
+    return masks
+
+
+def _generator_codes(A: AbelianGroup, n: int) -> list[tuple[int, ...]]:
+    """Generators as sorted tuples of codes, positions in the lexicographic
+    ``A.elements()``, so in the order of sorted characters.  The candidates'
+    cells (a row per position pair, a column, a square block) are bounded
+    first, by a count stopped once its square alone is over the bound."""
     if n < 1:
         raise InputError(f"dimension n = {n} must be positive")
     order = A.order
@@ -48,21 +62,20 @@ def enumerate_generators(A: AbelianGroup, n: int):
             "the candidate multisets imply more relation-matrix cells than "
             f"the bound {MAX_RELATION_CELLS}"
         )
-    # the elements are reduced characters: test without validation
-    elements = list(A.elements())
-    alone = {a for a in elements if generates_reduced(A, (a,))}
-    combos = itertools.combinations_with_replacement(elements, n)
-    # at n = 1 a candidate is one character, already tested
-    return [c for c in combos if not alone.isdisjoint(c) or n > 1 and generates_reduced(A, c)]
+    if A.rank > n:  # A needs rank-many generators: no mask is built
+        return []
+    masks = _maximal_masks(A)
+    # prefixes (codes, AND of their masks, least next code), extended in order
+    prefixes = [((), -1, 0)]
+    for _ in range(n - 1):
+        prefixes = [(c + (k,), m & masks[k], k) for c, m, s in prefixes for k in range(s, order)]
+    return [c + (k,) for c, m, s in prefixes for k in range(s, order) if not m & masks[k]]
 
 
-def _coded_generators(A: AbelianGroup, gens):
+def _coded_generators(A: AbelianGroup, codes):
     """The generator table: character -> code, coded generator -> column,
-    and the difference table.  A character's code is its position in
-    ``A.elements()``, which is lexicographic, so sorted codes are sorted
-    characters and the coded generators keep their order; ``minus[a][x]``
-    is the code of x - a, its mixed-radix digits the per-factor
-    differences."""
+    and the difference table.  ``minus[a][x]`` is the code of x - a, its
+    mixed-radix digits the per-factor differences."""
     facs = A.invariant_factors
     weights = [math.prod(facs[i + 1 :]) for i in range(len(facs))]
     code, minus = {}, []
@@ -70,8 +83,7 @@ def _coded_generators(A: AbelianGroup, gens):
         code[a] = len(minus)
         digits = ([(x - y) % q * w for x in range(q)] for y, q, w in zip(a, facs, weights))
         minus.append(list(map(sum, itertools.product(*digits))))
-    index = {tuple(map(code.__getitem__, gen)): k for k, gen in enumerate(gens)}
-    return code, index, minus
+    return code, {gen: k for k, gen in enumerate(codes)}, minus
 
 
 @dataclass(eq=False)
@@ -82,19 +94,24 @@ class BnGPresentation:
     n: int
 
     @cached_property
+    def generator_codes(self) -> list[tuple[int, ...]]:
+        return _generator_codes(self.A, self.n)
+
+    @cached_property
     def generators(self) -> list[tuple]:
-        return enumerate_generators(self.A, self.n)
+        chars = list(self.A.elements())
+        return [tuple(map(chars.__getitem__, c)) for c in self.generator_codes]
 
     @cached_property
     def coded_table(self) -> tuple[dict, dict, list]:
         """(character -> code, coded generator -> column, difference table),
         built once for the relation rows and the class queries."""
-        return _coded_generators(self.A, self.generators)
+        return _coded_generators(self.A, self.generator_codes)
 
     @cached_property
     def relation_matrix(self) -> SparseMatrix:
-        if self.n <= 1:  # n < 1 fails in enumerate_generators, before any row
-            return SparseMatrix((), len(self.generators))
+        if self.n <= 1:  # n < 1 fails in the generator codes, before any row
+            return SparseMatrix((), len(self.generator_codes))
         return relation_rows(self, 2)
 
     @cached_property

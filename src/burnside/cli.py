@@ -14,11 +14,7 @@ import json
 import sys
 
 from .abelian import AbelianGroup, wedge_equivalent
-from .bng import (
-    BnGPresentation,
-    equal_classes,
-    reduce_class,
-)
+from .bng import BnGPresentation, equal_classes, reduce_class
 from .errors import BurnsideError, InputError, SizeError, is_int_rows, load_json
 from .groups import MAX_GROUP_ORDER, FiniteGroup
 from .relations import expand_b2, relation_rows
@@ -128,7 +124,7 @@ def _cmd_verify_prop71(args) -> str:
     # lattice (none at n <= 2).  n < 1 and the candidate bound fail on the
     # generators, and the j >= 3 rows are priced, before a j = 2 row is built
     P = BnGPresentation(_abelian_group(args.group), args.n)
-    if args.n == 1 or not P.generators or args.n == 2:
+    if args.n == 1 or not P.generator_codes or args.n == 2:
         return _dump({"row_spaces_equal": True})
     rows = relation_rows(P, args.n, 3)
     return _dump({"row_spaces_equal": P.smith_form.contains(rows)})

@@ -167,19 +167,21 @@ class FiniteGroup:
         at most the element cap times the generators times ``degree``
         point images, is bounded before the closure starts.
         """
+        text = str(degree)  # for messages: past 20 digits, the first 12 and the count
+        points = text if len(text) <= 20 else f"{text[:12]}... ({len(text)} digits)"
         gens = []
         for p in perms:
             p = tuple(p)
             ints = {int}.issuperset(map(type, p))  # booleans are not int
             if len(p) != degree or not ints or sorted(p) != list(range(degree)):
-                raise InputError(f"not a permutation of {degree} points: {_head(p)}")
+                raise InputError(f"not a permutation of {points} points: {_head(p)}")
             gens.append(p)
         gens = list(dict.fromkeys(gens))
         ident = tuple(range(degree if gens else 0))
         cap = min(MAX_GROUP_ORDER, MAX_PERMUTATION_POINTS // max(degree, 1))
         if cap * len(gens) * degree > MAX_CLOSURE_IMAGES:
             raise SizeError(
-                f"permutation closure of {len(gens)} generators on {degree} points "
+                f"permutation closure of {len(gens)} generators on {points} points "
                 f"may compute {cap * len(gens) * degree} point images, past the "
                 f"bound {MAX_CLOSURE_IMAGES}"
             )
@@ -193,7 +195,7 @@ class FiniteGroup:
                     if len(elems) >= cap:
                         raise SizeError(
                             f"permutation closure exceeds bound {cap} "
-                            f"on elements of {degree} points"
+                            f"on elements of {points} points"
                         )
                     j = index[nxt] = len(elems)
                     elems.append(nxt)

@@ -147,7 +147,7 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
 def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     """Sparse relation matrix over the generators of a tuple-group presentation.
 
-    ``P`` supplies the dimension ``n``, the generators and their coded table.
+    ``P`` supplies the dimension ``n``, the coded generators and their table.
     One deduplicated row per generator, j from ``j_min`` to ``j_max`` and
     sub-multiset of j of its characters: the generator minus the sum of its
     transformed tuples, columns in generator order, rows sorted as tuples of
@@ -158,7 +158,7 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     n = P.n
     if not (2 <= j_min <= j_max <= n):
         raise InputError(f"need 2 <= j_min = {j_min} <= j_max = {j_max} <= n = {n}")
-    gens = P.generators
+    gens = P.generator_codes
     cells = 0
     for j in range(2, j_max + 1):
         cells += len(gens) * math.comb(n, j) * n

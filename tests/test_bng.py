@@ -1,15 +1,19 @@
+import functools
 import hashlib
 import itertools
 import json
 import math
+import operator
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+import burnside.abelian
 import burnside.bng
 import burnside.relations
+import burnside.symbols
 from burnside import (
     AbelianGroup,
     Atom,
@@ -30,6 +34,7 @@ from burnside import (
     reduce_class,
     relation_rows,
 )
+from burnside.abelian import generates_reduced
 from conftest import (
     dense_rows,
     digest_pairs,
@@ -46,6 +51,9 @@ REDUCE_CLASS_DIGEST = "daa8f69f8714a61ec63863b8dd8e2c5a4523498b4689e11f928f922bc
 # Smith form's divisors, unit pivots, steps and residual block, each row of
 # it in the elimination's own order: the elimination record, byte for byte
 SMITH_RECORD_DIGEST = "68ee67fb65ac77f1321db2adbfedc54ab2dfd74f0bb9d396b28d3b7deb5cfe81"
+# sha256 of one json.dumps([factors, n, generators]) line per presentation
+# of ``digest_pairs()``: the enumerated generator lists, byte for byte
+GENERATOR_DIGEST = "efa198e50a1d5fadb0151edbc45c234f206ba6c20da74129cf2da8b034f75eb8"
 
 
 def totient(m: int) -> int:
@@ -97,22 +105,61 @@ class TestEnumeration:
         ]
         assert enumerate_generators(A, n) == want
 
+    def test_generator_digest(self):
+        # the generator lists of every benchmark presentation, byte for byte
+        h = hashlib.sha256()
+        for factors, n in digest_pairs():
+            gens = enumerate_generators(AbelianGroup(factors), n)
+            h.update((json.dumps([factors, n, gens]) + "\n").encode())
+        assert h.hexdigest() == GENERATOR_DIGEST
+
+    @pytest.mark.parametrize("factors,n", [((7,), 2), ((7,), 1), ((2, 2), 2), ((2, 12), 2)])
+    def test_no_rank_test_one_mask_table(self, monkeypatch, factors, n):
+        # generation is read off the mask table, built once per presentation
+        # and shared by its structure, rows and class queries
+        ranks, tables = [], []
+        real_rank, real_masks = burnside.abelian.generates_reduced, burnside.bng._maximal_masks
+        for module in (burnside.abelian, burnside.bng, burnside.relations, burnside.symbols):
+            if hasattr(module, "generates_reduced"):
+                monkeypatch.setattr(
+                    module, "generates_reduced", lambda *a: ranks.append(a) or real_rank(*a)
+                )
+        monkeypatch.setattr(
+            burnside.bng, "_maximal_masks", lambda A: tables.append(A) or real_masks(A)
+        )
+        P = BnGPresentation(AbelianGroup(factors), n)
+        P.structure()
+        reduce_class(P, {P.generators[0]: 1})
+        assert len(tables) == 1
+        assert enumerate_generators(AbelianGroup(factors), n) == P.generators
+        assert len(tables) == 2
+        assert ranks == []
+
+    @pytest.mark.parametrize("factors,n", [((2, 2, 2), 2), ((2,) * 11, 1)])
+    def test_rank_above_n_builds_no_masks(self, monkeypatch, factors, n):
+        # A needs rank-many generators: none exist, and no table is built
+        tables = []
+        monkeypatch.setattr(burnside.bng, "_maximal_masks", tables.append)
+        assert enumerate_generators(AbelianGroup(factors), n) == []
+        assert tables == []
+
     @pytest.mark.parametrize(
-        "factors,n,tests", [((7,), 2, 7 + 1), ((7,), 1, 7), ((2, 2), 2, 4 + 10)]
+        "factors",
+        [(m,) for m in range(2, 13)]
+        + [(2, 2), (2, 4), (2, 6), (3, 9), (4, 4), (2, 2, 2)],
+        ids=str,
     )
-    def test_rank_test_skipped_when_a_character_generates(self, monkeypatch, factors, n, tests):
-        # one test per character, then one per multiset holding no generator
-        # of A: (0, 0) alone on Z/7; each n = 1 candidate tested once
-        calls = []
-        real = burnside.bng.generates_reduced
-
-        def counting(A, beta):
-            calls.append(beta)
-            return real(A, beta)
-
-        monkeypatch.setattr(burnside.bng, "generates_reduced", counting)
-        enumerate_generators(AbelianGroup(factors), n)
-        assert len(calls) == tests
+    def test_masks_match_rank_test(self, factors):
+        # every multiset of one to three characters, rank above size too
+        A = AbelianGroup(factors)
+        masks = burnside.bng._maximal_masks(A)
+        chars = list(A.elements())
+        assert len(masks) == len(chars)
+        for size in (1, 2, 3):
+            for codes in itertools.combinations_with_replacement(range(len(chars)), size):
+                beta = [chars[k] for k in codes]
+                meet = functools.reduce(operator.and_, (masks[k] for k in codes))
+                assert (meet == 0) == generates_reduced(A, beta), beta
 
 
 class TestNoClosureOnEnumeration:
@@ -146,13 +193,13 @@ class TestOneEnumeration:
         import burnside.bng
 
         counted = []
-        original = burnside.bng.enumerate_generators
+        original = burnside.bng._generator_codes
 
         def counting(*args, **kwargs):
             counted.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(burnside.bng, "enumerate_generators", counting)
+        monkeypatch.setattr(burnside.bng, "_generator_codes", counting)
         return counted
 
     def test_structure(self, calls):

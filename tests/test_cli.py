@@ -407,6 +407,17 @@ class TestExitCodes:
         assert err.endswith(f", ...] of length {d}\n")
         assert len(err.encode()) < 200 and err.count("\n") == 1
 
+    def test_long_degree_message_is_short(self):
+        # a 4,001-digit degree is named by its leading digits and digit count
+        degree = "9" * 4001
+        group = '{"type":"permutation","degree":%s,"generators":[[0]]}' % degree
+        proc = run_cli("canon", "--group", group, "--symbol", "{}")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        head = "input error: not a permutation of 999999999999... (4001 digits) points"
+        assert proc.stderr.startswith(head)
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr.encode()) < 200
+
     @pytest.mark.parametrize(
         "argv",
         [
