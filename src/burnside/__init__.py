@@ -11,7 +11,6 @@ from .bng import (
     BnGPresentation,
     enumerate_generators,
     equal_classes,
-    group_structure,
     project_symbol,
     project_sum,
     reduce_class,
@@ -79,7 +78,6 @@ __all__ = [
     "equal_classes",
     "expand_b2",
     "expand_prop46",
-    "group_structure",
     "project_symbol",
     "project_sum",
     "reduce_class",

@@ -22,7 +22,7 @@ from .errors import InputError, InvariantError, PreconditionError
 from .errors import is_int_rows, load_json
 
 if TYPE_CHECKING:
-    from .groups import FiniteGroup, SubgroupRef
+    from .groups import SubgroupRef
 
 
 @dataclass(frozen=True)
@@ -189,16 +189,15 @@ def apply_dual(matrix, factors, char) -> tuple[int, ...]:
     )
 
 
-def transport_characters(
-    G: FiniteGroup, src: SubgroupRef, dst: SubgroupRef, g: int
-) -> list[list[int]]:
+def transport_characters(src: SubgroupRef, dst: SubgroupRef, g: int) -> list[list[int]]:
     """Dual-map matrix carrying characters of ``src`` to ``dst``, a subgroup
-    of ``g src g^-1``; with g the identity it is restriction.
+    of ``g src g^-1`` in ``src.group``; with g the identity it is restriction.
 
     The image of a character ``a`` of src is ``a o conj_{g^-1}`` on dst:
     row i holds its coefficients at dst's basis element b_i, read from the
     src coordinates of g^-1 b_i g and scaled from src's orders to dst's.
     """
+    G = src.group
     ginv = G.inv(g)
     n_src = src.structure.invariant_factors
     n_dst = dst.structure.invariant_factors

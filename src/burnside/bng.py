@@ -23,11 +23,6 @@ from .symbols import Atom, ConstrA, Symbol
 from .zlinalg import SmithForm, SparseMatrix, smith_normal_form
 
 
-def enumerate_generators(A: AbelianGroup, n: int):
-    """The size-``n`` multisets of characters generating ``A``, sorted."""
-    return BnGPresentation(A, n).generators
-
-
 def _maximal_masks(A: AbelianGroup) -> list[int]:
     """Per character code, bit b set when it is in the kernel of the b-th line
     a -> sum c_i a_i of Hom(A, Z/p), p prime (first nonzero c_i = 1): these are
@@ -44,11 +39,12 @@ def _maximal_masks(A: AbelianGroup) -> list[int]:
     return masks
 
 
-def _generator_codes(A: AbelianGroup, n: int) -> list[tuple[int, ...]]:
-    """Generators as sorted tuples of codes, positions in the lexicographic
-    ``A.elements()``, so in the order of sorted characters.  The candidates'
-    cells (a row per position pair, a column, a square block) are bounded
-    first, by a count stopped once its square alone is over the bound."""
+def enumerate_generators(A: AbelianGroup, n: int) -> list[tuple[int, ...]]:
+    """The size-``n`` multisets of characters generating ``A``, as sorted
+    tuples of codes, positions in the lexicographic ``A.elements()``, so in
+    the order of sorted characters.  The candidates' cells (a row per
+    position pair, a column, a square block) are bounded first, by a count
+    stopped once its square alone is over the bound."""
     if n < 1:
         raise InputError(f"dimension n = {n} must be positive")
     order = A.order
@@ -72,20 +68,6 @@ def _generator_codes(A: AbelianGroup, n: int) -> list[tuple[int, ...]]:
     return [c + (k,) for c, m, s in prefixes for k in range(s, order) if not m & masks[k]]
 
 
-def _coded_generators(A: AbelianGroup, codes):
-    """The generator table: character -> code, coded generator -> column,
-    and the difference table.  ``minus[a][x]`` is the code of x - a, its
-    mixed-radix digits the per-factor differences."""
-    facs = A.invariant_factors
-    weights = [math.prod(facs[i + 1 :]) for i in range(len(facs))]
-    code, minus = {}, []
-    for a in A.elements():
-        code[a] = len(minus)
-        digits = ([(x - y) % q * w for x in range(q)] for y, q, w in zip(a, facs, weights))
-        minus.append(list(map(sum, itertools.product(*digits))))
-    return code, {gen: k for k, gen in enumerate(codes)}, minus
-
-
 @dataclass(eq=False)
 class BnGPresentation:
     """Generators and sparse relation rows of the tuple group, cached."""
@@ -95,7 +77,7 @@ class BnGPresentation:
 
     @cached_property
     def generator_codes(self) -> list[tuple[int, ...]]:
-        return _generator_codes(self.A, self.n)
+        return enumerate_generators(self.A, self.n)
 
     @cached_property
     def generators(self) -> list[tuple]:
@@ -103,14 +85,27 @@ class BnGPresentation:
         return [tuple(map(chars.__getitem__, c)) for c in self.generator_codes]
 
     @cached_property
-    def coded_table(self) -> tuple[dict, dict, list]:
-        """(character -> code, coded generator -> column, difference table),
-        built once for the relation rows and the class queries."""
-        return _coded_generators(self.A, self.generator_codes)
+    def coded_table(self) -> tuple[dict, dict]:
+        """(character -> code, coded generator -> column), built once for the
+        relation rows and the class queries."""
+        code = {a: k for k, a in enumerate(self.A.elements())}
+        return code, {gen: k for k, gen in enumerate(self.generator_codes)}
+
+    @cached_property
+    def difference_table(self) -> list[list[int]]:
+        """``minus[a][x]`` is the code of x - a, its mixed-radix digits the
+        per-factor differences: |A|^2 codes, built for the relation rows alone."""
+        facs = self.A.invariant_factors
+        weights = [math.prod(facs[i + 1 :]) for i in range(len(facs))]
+        minus = []
+        for a in self.A.elements():
+            digits = ([(x - y) % q * w for x in range(q)] for y, q, w in zip(a, facs, weights))
+            minus.append(list(map(sum, itertools.product(*digits))))
+        return minus
 
     @cached_property
     def relation_matrix(self) -> SparseMatrix:
-        if self.n <= 1:  # n < 1 fails in the generator codes, before any row
+        if self.n <= 1:  # n < 1 fails in the enumeration, before any row
             return SparseMatrix((), len(self.generator_codes))
         return relation_rows(self, 2)
 
@@ -128,7 +123,7 @@ class BnGPresentation:
         chars = [self.A.reduce(c) for c in multiset]
         if len(chars) != self.n:
             raise InputError(f"tuple has {len(chars)} characters, not n = {self.n}")
-        code, index, _ = self.coded_table
+        code, index = self.coded_table
         k = index.get(tuple(sorted(map(code.__getitem__, chars))))
         if k is None:
             raise InputError(f"tuple {tuple(sorted(chars))} is not a generator (must generate A)")
@@ -147,11 +142,6 @@ class BnGClass:
 
     def to_json_obj(self):
         return {"free": list(self.free), "torsion": list(self.torsion)}
-
-
-def group_structure(A: AbelianGroup, n: int) -> tuple[int, list[int]]:
-    """Structure (free rank, torsion) of the tuple group at dimension ``n``."""
-    return BnGPresentation(A, n).structure()
 
 
 def reduce_class(P: BnGPresentation, x) -> BnGClass:

@@ -63,27 +63,13 @@ def _char_tuple(A: AbelianGroup, value: str, what: str):
     return [A.reduce(c) for c in data]
 
 
-def group_label(A: AbelianGroup) -> str:
-    if not A.invariant_factors:
-        return "1"
-    return "x".join(f"Z/{n}" for n in A.invariant_factors)
-
-
-def emit_table(results) -> str:
-    """CSV table of structure results: one row per (group, n, structure)."""
-    lines = ["group,n,free_rank,torsion"]
-    for A, n, (free_rank, torsion) in results:
-        lines.append(
-            f"{group_label(A)},{n},{free_rank},{';'.join(str(t) for t in torsion)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_bng_structure(args) -> str:
     A = _abelian_group(args.group)
-    free_rank, torsion = structure = BnGPresentation(A, args.n).structure()
+    free_rank, torsion = BnGPresentation(A, args.n).structure()
     if args.format == "csv":
-        return emit_table([(A, args.n, structure)])
+        label = "x".join(f"Z/{q}" for q in A.invariant_factors) or "1"
+        row = f"{label},{args.n},{free_rank},{';'.join(map(str, torsion))}"
+        return f"group,n,free_rank,torsion\n{row}\n"
     return _dump({"free_rank": free_rank, "torsion": torsion})
 
 

@@ -32,12 +32,12 @@ MAX_PERMUTATION_POINTS = MAX_GROUP_ORDER**2
 MAX_CLOSURE_IMAGES = 16 * MAX_PERMUTATION_POINTS
 
 
-def _head(p, width=48) -> str:
-    """A permutation for a message: a prefix of about ``width`` characters
-    and its length."""
-    text = str(list(p[:width]))
-    if len(text) > width:
-        text = text[:width].rsplit(", ", 1)[0] + ", ...]"
+def _head(p) -> str:
+    """A permutation for a message: a prefix of about 48 characters and its
+    length."""
+    text = str(list(p[:48]))
+    if len(text) > 48:
+        text = text[:48].rsplit(", ", 1)[0] + ", ...]"
     return f"{text} of length {len(p)}"
 
 
@@ -458,7 +458,7 @@ class SubgroupRef:
         firsts = {}
         for x in R.normalizer:
             firsts.setdefault(tuple(G.conj(x, b) for b in R.basis), x)
-        mats = (transport_characters(G, self, R, G.mul(x, g)) for x in firsts.values())
+        mats = (transport_characters(self, R, G.mul(x, g)) for x in firsts.values())
         return R, tuple(tuple(map(tuple, mat)) for mat in mats)
 
     @property

@@ -122,8 +122,8 @@ def _blowup_terms(s: Symbol, beta, j: int):
             Hbar, Kbar = H, s.field_label
             if size > 1:
                 diffs = [d[i] for i in I[1:]]
-                Hbar, Kbar = construction_a(s.group, H, s.field_label, diffs)
-                res = transport_characters(s.group, H, Hbar, s.group.identity)
+                Hbar, Kbar = construction_a(H, s.field_label, diffs)
+                res = transport_characters(H, Hbar, s.group.identity)
                 facs_bar = Hbar.structure.invariant_factors
                 new_beta = tuple(apply_dual(res, facs_bar, b) for b in new_beta)
             if all(any(b) for b in new_beta):
@@ -147,7 +147,7 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
 def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     """Sparse relation matrix over the generators of a tuple-group presentation.
 
-    ``P`` supplies the dimension ``n``, the coded generators and their table.
+    ``P`` supplies the dimension ``n``, the coded generators and their tables.
     One deduplicated row per generator, j from ``j_min`` to ``j_max`` and
     sub-multiset of j of its characters: the generator minus the sum of its
     transformed tuples, columns in generator order, rows sorted as tuples of
@@ -167,7 +167,8 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
                 "the relation rows visit more cells than the bound "
                 f"{MAX_RELATION_CELLS}"
             )
-    _, index, minus = P.coded_table
+    _, index = P.coded_table
+    minus = P.difference_table
     rows = set()
     for gen, k in index.items():
         for j in range(j_min, j_max + 1):

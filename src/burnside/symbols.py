@@ -236,7 +236,7 @@ def conjugate_symbol(s: Symbol, g: int) -> Symbol:
     """Transport a symbol along conjugation by ``g`` (field label kept)."""
     G = s.group
     dst = G.subgroup(G.conj(g, h) for h in s.subgroup.elements)
-    mat = transport_characters(G, s.subgroup, dst, g)
+    mat = transport_characters(s.subgroup, dst, g)
     facs = dst.structure.invariant_factors
     return Symbol(
         group=G,
@@ -272,14 +272,12 @@ def canonicalize_symbol(s: Symbol) -> Symbol:
     )
 
 
-def construction_a(
-    G: FiniteGroup, H: SubgroupRef, K: FieldLabel, chars
-) -> tuple[SubgroupRef, ConstrA]:
+def construction_a(H: SubgroupRef, K: FieldLabel, chars) -> tuple[SubgroupRef, ConstrA]:
     """Kernel construction: cut ``H`` down to the joint kernel of ``chars``.
 
     The returned subgroup is the honest intersection of kernels inside
-    ``G`` (with its normalizer recomputed there); the field part is purely
-    formal and only records the construction.
+    ``H.group`` (with its normalizer recomputed there); the field part is
+    purely formal and only records the construction.
     """
     A = H.structure
     chars = [A.reduce(c) for c in chars]
@@ -288,7 +286,7 @@ def construction_a(
         for h in H.elements
         if all(H.char_value(c, h) == 0 for c in chars)
     ]
-    Hbar = G.subgroup(kernel)
+    Hbar = H.group.subgroup(kernel)
     Kbar = ConstrA(base=K, chars=normalize_chars(A, chars))
     return Hbar, Kbar
 
@@ -296,5 +294,5 @@ def construction_a(
 def restrict_character(H: SubgroupRef, Hbar: SubgroupRef, char) -> tuple[int, ...]:
     """Restriction of a character of ``H`` to a subgroup ``Hbar`` of it: the
     transport by the identity."""
-    mat = transport_characters(H.group, H, Hbar, H.group.identity)
+    mat = transport_characters(H, Hbar, H.group.identity)
     return apply_dual(mat, Hbar.structure.invariant_factors, H.structure.reduce(char))

@@ -314,6 +314,17 @@ def digest_pairs() -> list:
     return sorted(set(workloads.table_pairs()) | set(workloads.QUERY_PRESENTATIONS))
 
 
+def count_builds(monkeypatch, name, wrap=lambda table: table) -> list:
+    """The presentations that build their cached table ``name``, one entry a
+    build, each table passed through ``wrap`` before it is cached."""
+    built = []
+    func = vars(BnGPresentation)[name].func
+    prop = functools.cached_property(lambda P: built.append(P) or wrap(func(P)))
+    prop.__set_name__(BnGPresentation, name)
+    monkeypatch.setattr(BnGPresentation, name, prop)
+    return built
+
+
 def permutation_closure(degree, perms) -> list[tuple]:
     """Elements generated by ``perms``, breadth-first from the identity,
     applying the generators in their given order."""

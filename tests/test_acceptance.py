@@ -17,7 +17,6 @@ from burnside import (
     Symbol,
     expand_b2,
     expand_prop46,
-    group_structure,
     project_sum,
     project_symbol,
     reduce_class,
@@ -25,7 +24,6 @@ from burnside import (
     smith_normal_form,
     wedge_equivalent,
 )
-from burnside.cli import emit_table
 from conftest import (
     certifies_class_map,
     dense_rows,
@@ -94,14 +92,14 @@ def test_criterion_1_structure_suite():
     details = []
     for m in range(1, 13):
         A = AbelianGroup((m,) if m > 1 else ())
-        got = group_structure(A, 1)
+        got = BnGPresentation(A, 1).structure()
         want = (totient(m), [])
         if got != want:
             ok = False
             details.append(f"B_1(Z/{m}) = {got}, expected {want}")
     for factors, n, want in (((2,), 2, (0, [])), ((3,), 2, (1, []))):
         A = AbelianGroup(factors)
-        got = group_structure(A, n)
+        got = BnGPresentation(A, n).structure()
         oracle = oracle_structure(relation_rows(BnGPresentation(A, n), 2))
         if got != want or oracle != want:
             ok = False
@@ -286,14 +284,14 @@ def test_criterion_8_cli_golden_files():
         )
         if proc.returncode != 0 or proc.stdout != (GOLDEN / name).read_text():
             ok = False
-    if emit_table([]) != "group,n,free_rank,torsion\n":
-        ok = False
-    if emit_table([(AbelianGroup((2,)), 2, (0, []))]) != (
-        "group,n,free_rank,torsion\nZ/2,2,0,\n"
-    ):
-        ok = False
-    if emit_table([(AbelianGroup((2,)), 1, (1, []))]) != (
-        "group,n,free_rank,torsion\nZ/2,1,1,\n"
-    ):
-        ok = False
+    for factors, n, row in (([2], 2, "Z/2,2,0,"), ([2], 1, "Z/2,1,1,"), ([], 1, "1,1,1,")):
+        group = json.dumps({"invariant_factors": factors})
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "bng-structure", "--group", group,
+             "--n", str(n), "--format", "csv"],
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0 or proc.stdout != f"group,n,free_rank,torsion\n{row}\n":
+            ok = False
     report(8, ok, "byte-exact JSON outputs and CSV table rows")

@@ -17,6 +17,7 @@ import burnside.symbols
 from burnside import (
     AbelianGroup,
     Atom,
+    BnGClass,
     BnGPresentation,
     ConstrA,
     DomainError,
@@ -28,7 +29,6 @@ from burnside import (
     enumerate_generators,
     equal_classes,
     expand_b2,
-    group_structure,
     project_sum,
     project_symbol,
     reduce_class,
@@ -36,6 +36,7 @@ from burnside import (
 )
 from burnside.abelian import generates_reduced
 from conftest import (
+    count_builds,
     dense_rows,
     digest_pairs,
     full_group_symbol,
@@ -62,12 +63,14 @@ def totient(m: int) -> int:
 
 class TestEnumeration:
     def test_z2_pairs(self):
-        gens = enumerate_generators(AbelianGroup((2,)), 2)
+        # codes are positions in A.elements(): (0,) is 0 and (1,) is 1
+        assert enumerate_generators(AbelianGroup((2,)), 2) == [(0, 1), (1, 1)]
+        gens = BnGPresentation(AbelianGroup((2,)), 2).generators
         assert gens == [((0,), (1,)), ((1,), (1,))]
 
     def test_single_characters_are_units(self):
         for m in (2, 3, 4, 6, 8, 12):
-            gens = enumerate_generators(AbelianGroup((m,)), 1)
+            gens = BnGPresentation(AbelianGroup((m,)), 1).generators
             assert len(gens) == totient(m)
 
     def test_size_bound(self):
@@ -95,21 +98,20 @@ class TestEnumeration:
         ],
     )
     def test_matches_closure_filter(self, factors, n):
-        # the unvalidated generation test, and its one-generator shortcut,
-        # against the BFS span
+        # the AND of the maximal-subgroup masks against the BFS span
         A = AbelianGroup(factors)
         want = [
             combo
             for combo in itertools.combinations_with_replacement(A.elements(), n)
             if len(A.subgroup_generated(combo)) == A.order
         ]
-        assert enumerate_generators(A, n) == want
+        assert BnGPresentation(A, n).generators == want
 
     def test_generator_digest(self):
         # the generator lists of every benchmark presentation, byte for byte
         h = hashlib.sha256()
         for factors, n in digest_pairs():
-            gens = enumerate_generators(AbelianGroup(factors), n)
+            gens = BnGPresentation(AbelianGroup(factors), n).generators
             h.update((json.dumps([factors, n, gens]) + "\n").encode())
         assert h.hexdigest() == GENERATOR_DIGEST
 
@@ -131,7 +133,7 @@ class TestEnumeration:
         P.structure()
         reduce_class(P, {P.generators[0]: 1})
         assert len(tables) == 1
-        assert enumerate_generators(AbelianGroup(factors), n) == P.generators
+        assert enumerate_generators(AbelianGroup(factors), n) == P.generator_codes
         assert len(tables) == 2
         assert ranks == []
 
@@ -193,13 +195,13 @@ class TestOneEnumeration:
         import burnside.bng
 
         counted = []
-        original = burnside.bng._generator_codes
+        original = burnside.bng.enumerate_generators
 
         def counting(*args, **kwargs):
             counted.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(burnside.bng, "_generator_codes", counting)
+        monkeypatch.setattr(burnside.bng, "enumerate_generators", counting)
         return counted
 
     def test_structure(self, calls):
@@ -265,21 +267,28 @@ class TestOneEnumeration:
 class TestOneTable:
     def test_rows_and_classes_share_one_table(self, monkeypatch):
         # the j = 2 rows, the j = 3 rows and a class query all read the
-        # presentation's one coded generator table
-        counted = []
-        original = burnside.bng._coded_generators
-
-        def counting(*args):
-            counted.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(burnside.bng, "_coded_generators", counting)
+        # presentation's one coded generator table, and the rows its one
+        # difference table
+        coded = count_builds(monkeypatch, "coded_table")
+        differences = count_builds(monkeypatch, "difference_table")
         P = BnGPresentation(AbelianGroup((2, 4)), 3)
         assert P.smith_form.contains(relation_rows(P, 3, 3))
         reduce_class(P, {P.generators[-1]: 1})
-        assert len(counted) == 1
-        _, index, _ = P.coded_table
+        assert coded == differences == [P]
+        _, index = P.coded_table
         assert list(index.values()) == list(range(len(P.generators)))
+
+    def test_class_query_at_n1_builds_no_difference_table(self, monkeypatch):
+        # no relation row exists at n = 1, so nothing reads the |A|^2 table:
+        # on Z/3000 that would be 9 million codes
+        coded = count_builds(monkeypatch, "coded_table")
+        differences = count_builds(monkeypatch, "difference_table")
+        P = BnGPresentation(AbelianGroup((3000,)), 1)
+        got = reduce_class(P, {((1,),): 1})
+        assert P.structure() == (800, [])
+        assert got == BnGClass(free=(1,) + (0,) * 799, torsion=())
+        assert coded == [P]
+        assert differences == []
 
 
 class TestStructure:
@@ -287,21 +296,21 @@ class TestStructure:
         # no relations exist at dimension one
         for m in range(1, 13):
             factors = (m,) if m > 1 else ()
-            free, torsion = group_structure(AbelianGroup(factors), 1)
+            free, torsion = BnGPresentation(AbelianGroup(factors), 1).structure()
             assert (free, torsion) == (totient(m), [])
 
     def test_z2_pairs_trivial(self):
-        assert group_structure(AbelianGroup((2,)), 2) == (0, [])
+        assert BnGPresentation(AbelianGroup((2,)), 2).structure() == (0, [])
 
     def test_z3_pairs_infinite_cyclic(self):
-        assert group_structure(AbelianGroup((3,)), 2) == (1, [])
+        assert BnGPresentation(AbelianGroup((3,)), 2).structure() == (1, [])
 
     @pytest.mark.parametrize(
         "p", [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
     )
     def test_b2_prime_free_rank(self, p):
         # Kontsevich-Pestun-Tschinkel: B_2(Z/p) has free rank (p^2 + 23)/24
-        free, _ = group_structure(AbelianGroup((p,)), 2)
+        free, _ = BnGPresentation(AbelianGroup((p,)), 2).structure()
         assert free == (p * p + 23) // 24
 
     @pytest.mark.parametrize(

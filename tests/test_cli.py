@@ -372,6 +372,14 @@ class TestExitCodes:
             ["wedge", "--group", Z3, "--x", "[[1]]", "--y", "[" * 100000],
             ["bng-structure", "--group",
              '{"invariant_factors":[%s]}' % ("1" * 5000), "--n", "2"],
+            ["canon", "--group", '{"type":"table","cayley":[[0,1],[1,1]]}', "--symbol", "{}"],
+            ["canon", "--group", '{"type":"abelian","invariant_factors":[3]}',
+             "--symbol",
+             '{"subgroup":[0,1,2],"field":{"atom":{"name":"k","trdeg":-1}},"beta":[[1]],"n":0}'],
+            ["canon", "--group", '{"type":"abelian","invariant_factors":[3]}',
+             "--symbol",
+             '{"subgroup":[0,1,2],"field":{"constr_a":{"base":{"atom":{"name":"k","trdeg":0}},'
+             '"chars":[[0.5]]}},"beta":[[1]],"n":2}'],
         ],
         ids=[
             "class-string",
@@ -384,6 +392,9 @@ class TestExitCodes:
             "subgroup-int",
             "nested-too-deep",
             "int-over-digit-limit",
+            "monoid-not-group",
+            "atom-negative-trdeg",
+            "constr-a-float-chars",
         ],
     )
     def test_malformed_entries_return_input_code(self, argv, capsys):

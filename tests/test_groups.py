@@ -507,7 +507,7 @@ class TestSubgroups:
 class TestCharacterAction:
     def test_identity_acts_trivially(self, d8, d8_parts):
         H = d8_parts["H"]
-        mat = transport_characters(d8, H, H, d8.identity)
+        mat = transport_characters(H, H, d8.identity)
         assert mat == [[1, 0], [0, 1]]
 
     def test_pairing_compatibility(self, d8):
@@ -515,7 +515,7 @@ class TestCharacterAction:
         for H in d8.abelian_subgroup_classes():
             A = H.structure
             for g in H.normalizer:
-                mat = transport_characters(d8, H, H, g)
+                mat = transport_characters(H, H, g)
                 for a in A.elements():
                     ga = apply_dual(mat, A.invariant_factors, a)
                     for h in H.elements:
@@ -529,9 +529,9 @@ class TestCharacterAction:
         facs = A.invariant_factors
         for g1 in H.normalizer:
             for g2 in H.normalizer:
-                m12 = transport_characters(d8, H, H, d8.mul(g1, g2))
-                m1 = transport_characters(d8, H, H, g1)
-                m2 = transport_characters(d8, H, H, g2)
+                m12 = transport_characters(H, H, d8.mul(g1, g2))
+                m1 = transport_characters(H, H, g1)
+                m2 = transport_characters(H, H, g2)
                 for a in A.elements():
                     assert apply_dual(m12, facs, a) == apply_dual(
                         m1, facs, apply_dual(m2, facs, a)
@@ -542,7 +542,7 @@ class TestCharacterAction:
         # two reflections, which on characters sends a_1 to a_1 + a_2
         H = d8_parts["H"]
         rho = d8_parts["rho"]
-        mat = transport_characters(d8, H, H, rho)
+        mat = transport_characters(H, H, rho)
         images = {
             a: apply_dual(mat, H.structure.invariant_factors, a)
             for a in H.structure.elements()
@@ -558,7 +558,7 @@ class TestTransport:
         src = d8.subgroup(d8.closure([sigma]))
         dst = d8.subgroup(d8.conj(rho, h) for h in src.elements)
         assert src != dst
-        mat = transport_characters(d8, src, dst, rho)
+        mat = transport_characters(src, dst, rho)
         A, B = src.structure, dst.structure
         for a in A.elements():
             ta = apply_dual(mat, B.invariant_factors, a)

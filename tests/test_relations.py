@@ -16,7 +16,6 @@ from burnside import (
     expand_prop46,
     relation_rows,
 )
-from burnside import bng
 from burnside.relations import (
     VANISHED_COSET,
     VANISHED_EQUAL_WEIGHTS,
@@ -24,6 +23,7 @@ from burnside.relations import (
 )
 from conftest import (
     SYMBOL_ORACLE_GROUPS,
+    count_builds,
     apply_b1,
     dense_relation_rows,
     dense_rows,
@@ -236,11 +236,9 @@ class TestRelationRows:
     def test_rows_agree_with_direct_expansion(self):
         # each row asserts generator = sum of its transformed generators;
         # recheck one instance against an independent hand expansion
-        A = AbelianGroup((4,))
-        from burnside import enumerate_generators
-
-        gens = enumerate_generators(A, 2)
-        M = relation_rows(BnGPresentation(A, 2), 2)
+        P = BnGPresentation(AbelianGroup((4,)), 2)
+        gens = P.generators
+        M = relation_rows(P, 2)
         gen = ((1,), (2,))
         idx = gens.index(gen)
         # blow up at both positions: (1, 2) -> (1, 1) and (2, 3)
@@ -266,15 +264,14 @@ class TestRelationRows:
                 self.lookups += 1
                 return super().__getitem__(key)
 
-        coded_generators = bng._coded_generators
         indexes = []
 
-        def counting(A, gens):
-            code, index, minus = coded_generators(A, gens)
+        def counting(table):
+            code, index = table
             indexes.append(CountingIndex(index))
-            return code, indexes[-1], minus
+            return code, indexes[-1]
 
-        monkeypatch.setattr(bng, "_coded_generators", counting)
+        count_builds(monkeypatch, "coded_table", counting)
         M = relation_rows(BnGPresentation(AbelianGroup((2,)), 15), 15)
         assert M.num_rows > 0
         assert len(indexes) == 1
