@@ -53,6 +53,13 @@ class AbelianGroup:
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
+    @cached_property
+    def strides(self) -> tuple[int, ...]:
+        """Place values of the character code: a character's position in
+        ``elements()`` is the sum of x_i strides_i."""
+        facs = self.invariant_factors
+        return tuple(math.prod(facs[i + 1 :]) for i in range(self.rank))
+
     def zero(self) -> tuple[int, ...]:
         return (0,) * self.rank
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .abelian import AbelianGroup
-from .errors import DomainError, InputError, ProvenanceError, SizeError
+from .errors import DomainError, InputError, SizeError
 from .relations import MAX_RELATION_CELLS, relation_rows
-from .symbols import Atom, ConstrA, Symbol
+from .symbols import Symbol
 from .zlinalg import SmithForm, SparseMatrix, smith_normal_form
 
 
@@ -95,11 +95,10 @@ class BnGPresentation:
     def difference_table(self) -> list[list[int]]:
         """``minus[a][x]`` is the code of x - a, its mixed-radix digits the
         per-factor differences: |A|^2 codes, built for the relation rows alone."""
-        facs = self.A.invariant_factors
-        weights = [math.prod(facs[i + 1 :]) for i in range(len(facs))]
-        minus = []
-        for a in self.A.elements():
-            digits = ([(x - y) % q * w for x in range(q)] for y, q, w in zip(a, facs, weights))
+        A, minus = self.A, []
+        for a in A.elements():
+            places = zip(a, A.invariant_factors, A.strides)
+            digits = ([(x - y) % q * w for x in range(q)] for y, q, w in places)
             minus.append(list(map(sum, itertools.product(*digits))))
         return minus
 
@@ -171,19 +170,6 @@ def equal_classes(P: BnGPresentation, x, y) -> bool:
     return reduce_class(P, x) == reduce_class(P, y)
 
 
-def _resolve_degree(label) -> int:
-    if isinstance(label, Atom):
-        return label.alg_closure_degree
-    if isinstance(label, ConstrA):
-        if any(any(x for x in c) for c in label.chars):
-            raise ProvenanceError(
-                "algebraic closure degree is unresolved for a construction "
-                "label with nonzero characters"
-            )
-        return _resolve_degree(label.base)
-    raise ProvenanceError(f"unknown field label {label!r}")
-
-
 def project_symbol(s: Symbol, P: BnGPresentation) -> dict:
     """Image of a symbol in the tuple group, as generator coefficients.
 
@@ -203,7 +189,7 @@ def project_symbol(s: Symbol, P: BnGPresentation) -> dict:
         raise DomainError(
             "symbol character group does not match the presentation group"
         )
-    coeff = _resolve_degree(s.field_label)
+    coeff = s.field_label.alg_closure_degree
     padded = tuple(
         sorted(s.beta + (P.A.zero(),) * (P.n - len(s.beta)))
     )

@@ -89,14 +89,18 @@ def _cmd_bng_equal(args) -> str:
     return _dump({"equal": equal_classes(P, {tuple(x): 1}, {tuple(y): 1})})
 
 
-def _cmd_expand(args) -> str:
-    G = FiniteGroup.from_json(_read_value(args.group))
-    s = Symbol.from_json(G, _read_value(args.symbol))
-    report = expand_b2(s, args.i, args.j)
+def _printed_expansion(report) -> dict:
+    """An expansion report as printed: its sums and its raw terms."""
     obj = report.to_json_obj()
     obj["raw_theta1"] = [t.to_json_obj() for t in report.raw_theta1]
     obj["raw_theta2"] = [t.to_json_obj() for t in report.raw_theta2]
-    return _dump(obj)
+    return obj
+
+
+def _cmd_expand(args) -> str:
+    G = FiniteGroup.from_json(_read_value(args.group))
+    s = Symbol.from_json(G, _read_value(args.symbol))
+    return _dump(_printed_expansion(expand_b2(s, args.i, args.j)))
 
 
 def _cmd_canon(args) -> str:
@@ -137,11 +141,7 @@ def d8_example_report() -> dict:
     theta2_class, _ = G.class_representative(theta2_sub)
     return {
         "input": s.to_json_obj(),
-        "raw_theta1": [t.to_json_obj() for t in report.raw_theta1],
-        "raw_theta2": [t.to_json_obj() for t in report.raw_theta2],
-        "theta1": report.theta1.to_json_obj(),
-        "theta2": report.theta2.to_json_obj(),
-        "vanished_by": report.vanished_by,
+        **_printed_expansion(report),
         "theta2_subgroup_class": list(theta2_class),
         "theta2_in_reflection_class": theta2_class == sigma_class,
     }

@@ -52,13 +52,13 @@ def _table_rows(left, parents) -> tuple:
     return tuple(rows)
 
 
-def _radix_parents(factors) -> list:
-    """(x - e_k, k) for each x >= 1 in mixed-radix order over ``factors``,
-    with k the last nonzero coordinate of x: the first stride dividing x."""
-    strides = [math.prod(factors[k + 1 :]) for k in range(len(factors))]
+def _radix_parents(A: AbelianGroup) -> list:
+    """(x - e_k, k) for each code x >= 1 of ``A``, with k the last nonzero
+    coordinate of x: the first stride dividing x."""
+    strides = A.strides
     return [
         (x - strides[k], k)
-        for x in range(1, math.prod(factors))
+        for x in range(1, A.order)
         for k in [next(k for k, s in enumerate(strides) if x % s == 0)]
     ]
 
@@ -209,14 +209,12 @@ class FiniteGroup:
         A = AbelianGroup(tuple(factors))
         if A.order > MAX_GROUP_ORDER:
             raise SizeError(f"group order exceeds bound {MAX_GROUP_ORDER}")
-        facs = A.invariant_factors
-        strides = [math.prod(facs[k + 1 :]) for k in range(len(facs))]
         # left[k] adds the unit vector e_k: stride s, cyclic in blocks of q s
         left = [
             [x - x % (q * s) + (x + s) % (q * s) for x in range(A.order)]
-            for q, s in zip(facs, strides)
+            for q, s in zip(A.invariant_factors, A.strides)
         ]
-        return FiniteGroup(_table_rows(left, _radix_parents(facs)), _trusted=True)
+        return FiniteGroup(_table_rows(left, _radix_parents(A)), _trusted=True)
 
     @staticmethod
     def from_json(text: str) -> "FiniteGroup":
@@ -475,13 +473,12 @@ class SubgroupRef:
         G = self.group
         pairs = _split_abelian_basis(list(self.elements), G.mul, G.identity)
         pairs.reverse()  # increasing orders = invariant factor order
-        factors = tuple(m for _, m in pairs)
         basis = tuple(g for g, _ in pairs)
-        structure = AbelianGroup(factors)
+        structure = AbelianGroup(tuple(m for _, m in pairs))
         # elements in mixed-radix order of their coordinates, each one
         # product from its parent: x = (x - e_k) b_k
         tab, elems = G.cayley, [G.identity]
-        for x, k in _radix_parents(factors):
+        for x, k in _radix_parents(structure):
             elems.append(tab[elems[x]][basis[k]])
         to_coords = dict(zip(elems, structure.elements()))
         if len(to_coords) != len(elems):
@@ -496,17 +493,3 @@ class SubgroupRef:
         if elem not in data[2]:
             raise InputError(f"element {elem} is not in the subgroup")
         return data[2][elem]
-
-    def char_value(self, char, elem: int) -> int:
-        """Value of a character on an element, in Z/exponent (0 = trivial)."""
-        A = self.structure
-        e = A.exponent
-        c = self.coords(elem)
-        return (
-            sum(
-                a_i * c_i * (e // n_i)
-                for a_i, c_i, n_i in zip(A.reduce(char), c, A.invariant_factors)
-            )
-            % e
-        )
-

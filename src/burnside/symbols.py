@@ -12,9 +12,10 @@ algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import mul
 
 from .abelian import AbelianGroup, apply_dual, generates_reduced, transport_characters
-from .errors import InputError, InvariantError, is_int_rows, load_json
+from .errors import InputError, InvariantError, ProvenanceError, is_int_rows, load_json
 from .groups import FiniteGroup, SubgroupRef
 
 
@@ -50,6 +51,17 @@ class ConstrA:
     @property
     def trdeg(self) -> int:
         return self.base.trdeg + len(self.chars)
+
+    @property
+    def alg_closure_degree(self) -> int:
+        """The base's degree while every character is zero; a nonzero one
+        leaves the degree unresolved."""
+        if any(map(any, self.chars)):
+            raise ProvenanceError(
+                "algebraic closure degree is unresolved for a construction "
+                "label with nonzero characters"
+            )
+        return self.base.alg_closure_degree
 
 
 FieldLabel = Atom | ConstrA
@@ -277,16 +289,16 @@ def construction_a(H: SubgroupRef, K: FieldLabel, chars) -> tuple[SubgroupRef, C
 
     The returned subgroup is the honest intersection of kernels inside
     ``H.group`` (with its normalizer recomputed there); the field part is
-    purely formal and only records the construction.
+    purely formal and only records the construction.  A character a takes
+    the value sum a_i x_i e / n_i in Z/e at the element of coordinates x.
     """
     A = H.structure
     chars = [A.reduce(c) for c in chars]
-    kernel = [
-        h
-        for h in H.elements
-        if all(H.char_value(c, h) == 0 for c in chars)
-    ]
-    Hbar = H.group.subgroup(kernel)
+    e = A.exponent
+    scaled = [[a * (e // n) for a, n in zip(c, A.invariant_factors)] for c in chars]
+    Hbar = H.group.subgroup(
+        h for h in H.elements if not any(sum(map(mul, c, H.coords(h))) % e for c in scaled)
+    )
     Kbar = ConstrA(base=K, chars=normalize_chars(A, chars))
     return Hbar, Kbar
 

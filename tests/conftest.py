@@ -20,6 +20,7 @@ from burnside import (
     SparseMatrix,
     Symbol,
     SymbolSum,
+    expand_b2,
     smith_normal_form,
 )
 from burnside.abelian import generates_reduced
@@ -486,6 +487,38 @@ def generating_multisets(factors, size):
     ]
 
 
+def char_value(H, char, elem) -> int:
+    """Value of a character of the abelian subgroup ``H`` on one of its
+    elements, in Z/exponent (0 = trivial): sum a_i x_i e / n_i over the
+    element's coordinates x."""
+    A = H.structure
+    e = A.exponent
+    facs = A.invariant_factors
+    return sum(a * x * (e // n) for a, x, n in zip(A.reduce(char), H.coords(elem), facs)) % e
+
+
+def expansion_closure(factors, n) -> dict:
+    """The canonical full-subgroup symbols of the abelian group of
+    ``factors`` with atom label k at dimension ``n``, closed under the terms
+    of ``expand_b2`` at every weight pair: symbol -> the expansion totals,
+    one per pair, in the order the symbols are reached.  In an abelian
+    group a symbol with sorted weights is canonical."""
+    G = FiniteGroup.from_invariant_factors(factors)
+    K = Atom(name="k", trdeg=0)
+    todo = [
+        Symbol(group=G, subgroup=full_subgroup(G), field_label=K, beta=beta, ambient_n=n)
+        for beta in generating_multisets(factors, n)
+    ]
+    closure = {}
+    while todo:
+        s = todo.pop()
+        if s not in closure:
+            pairs = itertools.combinations(range(len(s.beta)), 2)
+            closure[s] = [expand_b2(s, i, j).total() for i, j in pairs]
+            todo += [t for total in closure[s] for t in total.terms]
+    return closure
+
+
 def _moved_characters(G, src, dst, g, chars) -> list:
     """Characters of ``dst``, a subgroup of ``g src g^-1``, carried from
     ``chars`` on ``src``: the character of dst whose value at x is the old
@@ -497,7 +530,7 @@ def _moved_characters(G, src, dst, g, chars) -> list:
     pulled = [tab[tab[ginv][x]][g] for x in dst.elements]
 
     def turns(K, c, elems):
-        return tuple(Fraction(K.char_value(c, x), K.structure.exponent) for x in elems)
+        return tuple(Fraction(char_value(K, c, x), K.structure.exponent) for x in elems)
 
     by_values = {turns(dst, c, dst.elements): c for c in dst.structure.elements()}
     return [by_values[turns(src, b, pulled)] for b in chars]
@@ -561,7 +594,7 @@ def expand_prop46_reference(s, j) -> dict:
                 new_beta += beta[j:]
                 if diffs:
                     Hbar = G.subgroup(
-                        h for h in H.elements if all(H.char_value(d, h) == 0 for d in diffs)
+                        h for h in H.elements if all(char_value(H, d, h) == 0 for d in diffs)
                     )
                     Kbar = ConstrA(
                         base=s.field_label,
@@ -616,7 +649,7 @@ def expand_b2_reference(s, i, j) -> tuple:
     multiples = {tuple(k * x % n for x, n in zip(d, facs)) for k in range(max(facs))}
     theta2 = ()
     if not multiples.intersection(s.beta):
-        kernel = G.subgroup(h for h in H.elements if H.char_value(d, h) == 0)
+        kernel = G.subgroup(h for h in H.elements if char_value(H, d, h) == 0)
         label = ConstrA(base=s.field_label, chars=(min(d, sub(zero, d)),))
         restricted = _moved_characters(G, H, kernel, G.identity, [a2, *rest])
         theta2 = (symbol(kernel, label, restricted),)

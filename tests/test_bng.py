@@ -25,6 +25,7 @@ from burnside import (
     InputError,
     ProvenanceError,
     SizeError,
+    SparseMatrix,
     Symbol,
     enumerate_generators,
     equal_classes,
@@ -33,14 +34,17 @@ from burnside import (
     project_symbol,
     reduce_class,
     relation_rows,
+    smith_normal_form,
 )
 from burnside.abelian import generates_reduced
 from conftest import (
     count_builds,
     dense_rows,
     digest_pairs,
+    expansion_closure,
     full_group_symbol,
     full_subgroup,
+    generates,
     structure_by_ranks,
 )
 
@@ -509,6 +513,18 @@ class TestProjection:
         )
         P = BnGPresentation(AbelianGroup((3,)), 2)
         assert project_symbol(s, P) == {((0,), (1,)): 1}
+        # nested over an atom of degree 3, the degree reaches the outer label
+        atom = full_group_symbol((3,), [(1,), (1,)], 2, deg=3).field_label
+        nested = ConstrA(base=ConstrA(base=atom, chars=((0,),)), chars=((0,),))
+        s = Symbol(
+            group=base.group,
+            subgroup=base.subgroup,
+            field_label=nested,
+            beta=((1,),),
+            ambient_n=3,
+        )
+        P = BnGPresentation(AbelianGroup((3,)), 3)
+        assert project_symbol(s, P) == {((0,), (0,), (1,)): 3}
 
     def test_nonzero_construction_chars_are_unresolved(self, d8, d8_parts):
         P = BnGPresentation(AbelianGroup((3,)), 2)
@@ -522,6 +538,17 @@ class TestProjection:
         )
         with pytest.raises(ProvenanceError):
             project_symbol(s, P)
+        # a nonzero character on the inner label, under a zero one
+        inner = ConstrA(base=base.field_label, chars=((1,),))
+        s = Symbol(
+            group=base.group,
+            subgroup=base.subgroup,
+            field_label=ConstrA(base=inner, chars=((0,),)),
+            beta=((1,),),
+            ambient_n=3,
+        )
+        with pytest.raises(ProvenanceError):
+            project_symbol(s, BnGPresentation(AbelianGroup((3,)), 3))
 
     def test_nonabelian_ambient_rejected(self, d8, d8_parts):
         K = Atom(name="CxC", trdeg=0, num_components=2)
@@ -552,3 +579,47 @@ class TestProjection:
             assert equal_classes(
                 P, project_symbol(s, P), project_sum(report.total(), P)
             ), beta
+
+
+# (invariant factors, n) of the whole-lattice comparison
+LATTICE_CASES = [
+    *(((q,), 2) for q in (4, 5, 6, 7, 11)),
+    ((2, 2), 2),
+    ((3, 3), 2),
+    ((5,), 3),
+    ((7,), 3),
+    ((2, 2), 3),
+]
+
+
+class TestWholeLattice:
+    """The blow-up relation of every symbol in ``expansion_closure``,
+    projected, against B_n(A)'s own relation rows."""
+
+    @pytest.mark.parametrize("factors, n", LATTICE_CASES)
+    def test_projected_lattice_matches_bn(self, factors, n):
+        A = AbelianGroup(factors)
+        P = BnGPresentation(A, n)
+        rows = []
+        for s, totals in expansion_closure(factors, n).items():
+            for total in totals:
+                row = {P.coerce_generator(g): c for g, c in project_symbol(s, P).items()}
+                for g, c in project_sum(total, P).items():
+                    k = P.coerce_generator(g)
+                    row[k] = row.get(k, 0) - c
+                rows.append(tuple(sorted((k, c) for k, c in row.items() if c)))
+        assert rows
+        projected = SparseMatrix(tuple(rows), len(P.generator_codes))
+        # each projected row is a relation of B_n(A)
+        assert P.smith_form.contains(projected)
+        reached = smith_normal_form(projected).contains(P.relation_matrix)
+        if n == 2 and A.rank == 1:
+            # B_2's row at (0, a) reads [a, -a] = 0, and no symbol has a zero
+            # weight: on a cyclic group only those rows are missing
+            assert not reached
+            units = [a for a in A.elements() if generates(A, [a])]
+            pairs = sorted({P.coerce_generator((a, A.neg(a))) for a in units})
+            rows += [((k, 1),) for k in pairs]
+            projected = SparseMatrix(tuple(rows), projected.num_cols)
+            reached = smith_normal_form(projected).contains(P.relation_matrix)
+        assert reached

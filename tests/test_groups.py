@@ -17,6 +17,7 @@ from burnside import (
 from burnside.groups import MAX_GROUP_ORDER
 from conftest import (
     abelian_subgroups_by_scan,
+    char_value,
     class_info_by_conjugation,
     commutes_pairwise,
     compose_permutations,
@@ -499,8 +500,8 @@ class TestSubgroups:
         for a in A.elements():
             for h in H.elements:
                 for k in H.elements:
-                    lhs = H.char_value(a, d8.mul(h, k))
-                    rhs = (H.char_value(a, h) + H.char_value(a, k)) % A.exponent
+                    lhs = char_value(H, a, d8.mul(h, k))
+                    rhs = (char_value(H, a, h) + char_value(H, a, k)) % A.exponent
                     assert lhs == rhs
 
 
@@ -519,8 +520,8 @@ class TestCharacterAction:
                 for a in A.elements():
                     ga = apply_dual(mat, A.invariant_factors, a)
                     for h in H.elements:
-                        assert H.char_value(ga, h) == H.char_value(
-                            a, d8.conj(d8.inv(g), h)
+                        assert char_value(H, ga, h) == char_value(
+                            H, a, d8.conj(d8.inv(g), h)
                         )
 
     def test_contravariant_composition(self, d8, d8_parts):
@@ -563,6 +564,6 @@ class TestTransport:
         for a in A.elements():
             ta = apply_dual(mat, B.invariant_factors, a)
             for h in dst.elements:
-                assert dst.char_value(ta, h) == src.char_value(
-                    a, d8.conj(d8.inv(rho), h)
+                assert char_value(dst, ta, h) == char_value(
+                    src, a, d8.conj(d8.inv(rho), h)
                 )

@@ -25,6 +25,7 @@ from conftest import (
     SYMBOL_ORACLE_GROUPS,
     count_builds,
     apply_b1,
+    char_value,
     dense_relation_rows,
     dense_rows,
     expand_b2_reference,
@@ -63,7 +64,7 @@ class TestExpandB2:
         assert rho2 not in t2.subgroup.elements
         # oracle: the honest joint kernel of the difference character
         assert list(t2.subgroup.elements) == sorted(
-            h for h in H.elements if H.char_value((1, 1), h) == 0
+            h for h in H.elements if char_value(H, (1, 1), h) == 0
         )
 
     def test_equal_weights_drop_theta1(self):

@@ -27,6 +27,7 @@ from conftest import (
     SYMBOL_ORACLE_GROUPS,
     _moved_characters,
     canonicalize_reference,
+    char_value,
     conjugate_by_scan,
     dihedral_d12,
     full_group_symbol,
@@ -292,13 +293,23 @@ class TestCachedSubgroupData:
 
 class TestConstructionA:
     def test_kernel_is_honest(self, d8, d8_parts):
-        H = d8_parts["H"]
-        Hbar, Kbar = construction_a(H, Atom(name="k", trdeg=0), [(1, 1)])
+        H, K = d8_parts["H"], Atom(name="k", trdeg=0)
+        Hbar, Kbar = construction_a(H, K, [(1, 1)])
         # oracle: elements on which the character vanishes
-        expected = [h for h in H.elements if H.char_value((1, 1), h) == 0]
+        expected = [h for h in H.elements if char_value(H, (1, 1), h) == 0]
         assert list(Hbar.elements) == sorted(expected)
         assert Kbar.chars == ((1, 1),)
         assert Kbar.trdeg == 1
+        # every abelian subgroup class of the oracle groups, one and two
+        # characters; their subgroups have no two unequal invariant factors,
+        # so Z/2 x Z/6 is added, where the scaling e / n_i is not 1
+        groups = [make() for make in SYMBOL_ORACLE_GROUPS.values()]
+        for G in [*groups, FiniteGroup.from_invariant_factors((2, 6))]:
+            for H in G.abelian_subgroup_classes():
+                chars = list(H.structure.elements())
+                for D in [*((c,) for c in chars), *itertools.product(chars, repeat=2)]:
+                    kernel = [h for h in H.elements if all(char_value(H, c, h) == 0 for c in D)]
+                    assert construction_a(H, K, D)[0].elements == tuple(kernel), D
 
     def test_empty_characters_keep_subgroup(self, d8, d8_parts):
         H = d8_parts["H"]
@@ -319,15 +330,15 @@ class TestRestriction:
             A = H.structure
             e = A.exponent
             for c in A.elements():
-                ker = [h for h in H.elements if H.char_value(c, h) == 0]
+                ker = [h for h in H.elements if char_value(H, c, h) == 0]
                 Hbar = d8.subgroup(ker)
                 ebar = Hbar.structure.exponent
                 for a in A.elements():
                     res = restrict_character(H, Hbar, a)
                     for h in Hbar.elements:
                         assert (
-                            Hbar.char_value(res, h) * e
-                            == H.char_value(a, h) * ebar
+                            char_value(Hbar, res, h) * e
+                            == char_value(H, a, h) * ebar
                         ), (c, a, h)
 
     def test_kernel_restriction_detects_span(self, s4):
