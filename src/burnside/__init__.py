@@ -40,7 +40,6 @@ from .symbols import (
     Symbol,
     SymbolSum,
     canonicalize_symbol,
-    combine,
     conjugate_symbol,
     construction_a,
     restrict_character,
@@ -71,7 +70,6 @@ __all__ = [
     "SymbolSum",
     "apply_dual",
     "canonicalize_symbol",
-    "combine",
     "conjugate_symbol",
     "construction_a",
     "enumerate_generators",

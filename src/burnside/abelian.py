@@ -6,7 +6,8 @@ to contain enough roots of unity, the character group is identified with
 the group itself: a character is an integer vector with entry ``i``
 reduced modulo ``n_i``.  The dual maps between the character groups of
 abelian subgroups of a finite group (the normalizer's action, transport
-along conjugation, restriction) are matrices on these vectors.
+along conjugation, restriction) are matrices on these vectors.  The wedge
+test costs about r^3 steps in the rank r, which ``MAX_WEDGE_RANK`` bounds.
 """
 
 from __future__ import annotations
@@ -18,11 +19,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .errors import InputError, InvariantError, PreconditionError
+from .errors import InputError, InvariantError, PreconditionError, SizeError
 from .errors import is_int_rows, load_json
 
 if TYPE_CHECKING:
     from .groups import SubgroupRef
+
+# largest rank the wedge test takes: its triangularizations cost about r^3
+# steps, and a random generating pair of (Z/2)^256 takes 1.3 s
+MAX_WEDGE_RANK = 256
 
 
 @dataclass(frozen=True)
@@ -173,6 +178,8 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     is invariant under reordering either tuple.
     """
     d = A.rank
+    if d > MAX_WEDGE_RANK:
+        raise SizeError(f"wedge comparison of rank {d} exceeds bound {MAX_WEDGE_RANK}")
     beta = [A.reduce(b) for b in beta]
     gamma = [A.reduce(c) for c in gamma]
     if len(beta) != d or len(gamma) != d:

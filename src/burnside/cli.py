@@ -56,11 +56,15 @@ def _abelian_group(value: str) -> AbelianGroup:
     return AbelianGroup.from_json(_read_value(value))
 
 
-def _char_tuple(A: AbelianGroup, value: str, what: str):
+def _char_rows(value: str, what: str) -> list:
     data = load_json(_read_value(value), f"JSON for {what}")
     if not is_int_rows(data):
         raise InputError(f"{what} must be an array of integer character vectors")
-    return [A.reduce(c) for c in data]
+    return data
+
+
+def _char_tuple(A: AbelianGroup, value: str, what: str):
+    return [A.reduce(c) for c in _char_rows(value, what)]
 
 
 def _cmd_bng_structure(args) -> str:
@@ -153,8 +157,8 @@ def _cmd_example_d8(args) -> str:
 
 def _cmd_wedge(args) -> str:
     A = _abelian_group(args.group)
-    x = _char_tuple(A, args.x, "--x")
-    y = _char_tuple(A, args.y, "--y")
+    # the wedge test prices the rank, then reduces the characters itself
+    x, y = _char_rows(args.x, "--x"), _char_rows(args.y, "--y")
     return _dump({"equivalent": wedge_equivalent(A, x, y)})
 
 

@@ -3,6 +3,8 @@
 Elements are plain indices into the multiplication table.  Groups are
 immutable once built; derived data (abelian subgroup classes, normalizers,
 invariant-factor bases) is cached on first use and never mutated after.
+An abelian group's class queries enumerate nothing: only
+``abelian_subgroup_classes`` lists its subgroups.
 """
 
 from __future__ import annotations
@@ -304,11 +306,8 @@ class FiniteGroup:
         One conjugation pass per class gives the transporter T: image ->
         every g with g sub g^-1 = image.  For g0 in T(img), the conjugators
         from img to rep are T(rep) g0^-1 and the normalizer of img is
-        T(img) g0^-1.  In an abelian group T is all of G for every subgroup.
+        T(img) g0^-1.  Only a nonabelian group runs it: see ``_class_entry``.
         """
-        if self.is_abelian:
-            whole = tuple(range(self.order))
-            return {sub: (sub, 0, whole) for sub in self._abelian_subgroups}
         tab, inverse = self.cayley, self.inverse
         info = {}
         for sub in self._abelian_subgroups:
@@ -357,13 +356,14 @@ class FiniteGroup:
 
     def abelian_subgroup_classes(self) -> list["SubgroupRef"]:
         """One representative per conjugacy class of abelian subgroups."""
-        reps = sorted(
-            {rep for rep, _, _ in self._class_info.values()},
-            key=lambda s: (len(s), s),
-        )
-        return [self.subgroup(r) for r in reps]
+        reps = {self._class_entry(sub)[0] for sub in self._abelian_subgroups}
+        return [self.subgroup(r) for r in sorted(reps, key=lambda s: (len(s), s))]
 
     def _class_entry(self, elems) -> tuple:
+        """(class representative, least conjugator, normalizer): in an abelian
+        group the subgroup itself, 0 and G, with nothing enumerated."""
+        if self.is_abelian:
+            return self.subgroup(elems).elements, 0, tuple(range(self.order))
         key = tuple(sorted(set(elems)))
         if key not in self._class_info:
             raise InputError("not an abelian subgroup of this group")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .abelian import AbelianGroup, apply_dual, transport_characters
 from .errors import InputError, SizeError
-from .symbols import Symbol, SymbolSum, combine, construction_a
+from .symbols import Symbol, SymbolSum, construction_a
 from .zlinalg import SparseMatrix
 
 # Relation-matrix work in cells.  bng prices the candidate multisets as if
@@ -43,7 +43,7 @@ class ExpansionReport:
     vanished_by: str
 
     def total(self) -> SymbolSum:
-        return combine(self.theta1, self.theta2, 1, 1)
+        return SymbolSum([*self.theta1.terms.items(), *self.theta2.terms.items()])
 
     def to_json_obj(self):
         return {

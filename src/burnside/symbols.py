@@ -159,16 +159,12 @@ class Symbol:
         for key in ("subgroup", "field", "beta", "n"):
             if key not in obj:
                 raise InputError(f'symbol JSON is missing "{key}"')
-        elems = obj["subgroup"]
-        if not isinstance(elems, list) or any(
-            type(g) is not int or not 0 <= g < group.order for g in elems
-        ):
-            raise InputError(f'"subgroup" must list elements below {group.order}')
+        # FiniteGroup.subgroup checks the element list
         if not is_int_rows(obj["beta"]) or type(obj["n"]) is not int:
             raise InputError('"beta" must hold integer arrays and "n" an integer')
         return Symbol(
             group=group,
-            subgroup=group.subgroup(elems),
+            subgroup=group.subgroup(obj["subgroup"]),
             field_label=field_from_json_obj(obj["field"]),
             beta=tuple(tuple(b) for b in obj["beta"]),
             ambient_n=obj["n"],
@@ -234,14 +230,6 @@ def _field_sort_key(f: FieldLabel):
     if isinstance(f, Atom):
         return (0, f.name, f.trdeg, f.alg_closure_degree, f.num_components)
     return (1, _field_sort_key(f.base), f.chars)
-
-
-def combine(x: SymbolSum, y: SymbolSum, cx: int, cy: int) -> SymbolSum:
-    """The combination ``cx*x + cy*y`` with canonical keys merged."""
-    terms = {sym: cx * c for sym, c in x.terms.items()}
-    for sym, c in y.terms.items():
-        terms[sym] = terms.get(sym, 0) + cy * c
-    return SymbolSum(terms)
 
 
 def conjugate_symbol(s: Symbol, g: int) -> Symbol:

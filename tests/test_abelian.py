@@ -11,10 +11,11 @@ from burnside import (
     InputError,
     InvariantError,
     PreconditionError,
+    SizeError,
     reduce_class,
     wedge_equivalent,
 )
-from burnside.abelian import _pivots
+from burnside.abelian import MAX_WEDGE_RANK, _pivots
 from conftest import (
     full_group_symbol,
     generates,
@@ -183,6 +184,21 @@ class TestWedge:
         e1, e2 = (1, 0), (0, 1)
         assert not wedge_equivalent(A, [e1, e2], [e1, (0, 2)])
         assert wedge_equivalent(A, [e1, e2], [e1, (0, 4)])
+
+    def test_rank_bound(self):
+        # a random generating tuple of (Z/2)^100 answers; at the bound an
+        # identity tuple answers, and past it no character is even read
+        rng = random.Random(100)
+        A = AbelianGroup((2,) * 100)
+        beta = []
+        while not generates(A, beta):
+            beta = [tuple(rng.randrange(2) for _ in range(100)) for _ in range(100)]
+        assert wedge_equivalent(A, beta, beta[::-1])
+        r = MAX_WEDGE_RANK
+        identity = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        assert wedge_equivalent(AbelianGroup((2,) * r), identity, identity)
+        with pytest.raises(SizeError, match=f"rank {r + 1} exceeds bound {r}"):
+            wedge_equivalent(AbelianGroup((2,) * (r + 1)), ["x"], None)
 
     def test_rejects_wrong_length(self):
         A = AbelianGroup((5, 5))

@@ -307,19 +307,15 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
 
     def test_abelian_subgroup_bound(self):
-        # (Z/2)^7 has 29,212 abelian subgroups, over MAX_ABELIAN_SUBGROUPS
+        # D8 x (Z/2)^5 on 14 points, a nonabelian group whose class data
+        # needs its abelian subgroups: more than MAX_ABELIAN_SUBGROUPS
         symbol = '{"subgroup":[0],"field":{"atom":{"name":"k","trdeg":1}},"beta":[],"n":1}'
+        gens = [[1, 2, 3, 0, *range(4, 14)], [2, 1, 0, 3, *range(4, 14)]]
+        for a in range(4, 14, 2):  # the transposition (a a+1)
+            gens.append([*range(a), a + 1, a, *range(a + 2, 14)])
+        group = json.dumps({"type": "permutation", "degree": 14, "generators": gens})
         proc = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "burnside.cli",
-                "canon",
-                "--group",
-                '{"type":"abelian","invariant_factors":[2,2,2,2,2,2,2]}',
-                "--symbol",
-                symbol,
-            ],
+            [sys.executable, "-m", "burnside.cli", "canon", "--group", group, "--symbol", symbol],
             capture_output=True,
             text=True,
             timeout=60,
@@ -328,6 +324,25 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("size error: ")
         assert proc.stderr.count("\n") == 1
+
+    def test_wedge_rank_bound(self, tmp_path):
+        # the rank is priced before any character is reduced: on a random
+        # generating tuple, r^3 growth from 1.9 s at rank 300 gives rank
+        # 1,000 over a minute
+        rank = 1000
+        group = json.dumps({"invariant_factors": [2] * rank})
+        identity = tmp_path / "identity.json"
+        identity.write_text(json.dumps([[int(i == j) for j in range(rank)] for i in range(rank)]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "burnside.cli", "wedge", "--group", group,
+             "--x", str(identity), "--y", str(identity)],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "size error: wedge comparison of rank 1000 exceeds bound 256\n"
 
     def test_exponent_bound(self, capsys):
         # 1000036000099 = 1000003 * 1000033: no exponent is factored, so
@@ -583,6 +598,31 @@ class TestOtherCommands:
         assert time.perf_counter() - start < 5
         out = json.loads(capsys.readouterr().out)
         assert len(out["subgroup"]) == 2
+
+    @pytest.mark.parametrize("command", ["canon", "expand"])
+    def test_abelian_class_queries_answer(self, command):
+        # (Z/2)^8 has more abelian subgroups than MAX_ABELIAN_SUBGROUPS, and
+        # its class queries list none.  Its elements 0..3 form (Z/2)^2 with
+        # the same codes, so a symbol there reads as in (Z/2)^2 itself
+        symbol = (
+            '{"subgroup":[0,1,2,3],"field":{"atom":{"name":"k","trdeg":0}},'
+            '"beta":[[0,1],[1,0]],"n":2}'
+        )
+        args = ["--symbol", symbol] + (["--i", "0", "--j", "1"] if command == "expand" else [])
+        small, large = (
+            subprocess.run(
+                [sys.executable, "-m", "burnside.cli", command, "--group",
+                 json.dumps({"type": "abelian", "invariant_factors": [2] * rank}), *args],
+                capture_output=True,
+                text=True,
+                timeout=10,
+            )
+            for rank in (2, 8)
+        )
+        assert large.returncode == 0, large.stderr
+        assert small.returncode == 0, small.stderr
+        assert large.stdout == small.stdout
+        assert json.loads(large.stdout)["raw_theta1" if command == "expand" else "beta"]
 
     def test_expand(self):
         group = '{"type":"abelian","invariant_factors":[3]}'

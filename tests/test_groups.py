@@ -356,10 +356,12 @@ class TestSubgroups:
     )
     def test_abelian_class_data_matches_conjugation_pass(self, monkeypatch, factors):
         # every abelian subgroup is its own class, normalized by all of G:
-        # the shortcut conjugates nothing and agrees with the general pass
+        # the class queries conjugate nothing and agree with the general pass
         G = FiniteGroup.from_invariant_factors(factors)
         monkeypatch.setattr(FiniteGroup, "conj", None)
-        assert G._class_info == class_info_by_conjugation(G)
+        for sub, (rep, conjugator, normalizer) in class_info_by_conjugation(G).items():
+            assert G.class_representative(sub) == (rep, conjugator)
+            assert G.normalizer(sub) == normalizer
 
     def test_abelian_class_data_on_relabelled_table(self):
         # Z/6 with its elements relabelled, so that the identity is not 0
@@ -368,7 +370,27 @@ class TestSubgroups:
         table = [[perm[(inv[a] + inv[b]) % 6] for b in range(6)] for a in range(6)]
         G = FiniteGroup(table)
         assert G.identity == 3 and G.is_abelian
-        assert G._class_info == class_info_by_conjugation(G)
+        for sub, (rep, conjugator, normalizer) in class_info_by_conjugation(G).items():
+            assert G.class_representative(sub) == (rep, conjugator)
+            assert G.normalizer(sub) == normalizer
+
+    def test_abelian_class_queries_enumerate_nothing(self, monkeypatch):
+        # (Z/2)^8 has more abelian subgroups than MAX_ABELIAN_SUBGROUPS, and
+        # its class queries never list them
+        G = FiniteGroup.from_invariant_factors((2,) * 8)
+
+        def refuse(self):
+            raise AssertionError("abelian subgroups enumerated")
+
+        monkeypatch.setattr(FiniteGroup, "_abelian_subgroups", property(refuse))
+        whole = tuple(range(G.order))
+        for sub in [(0,), (0, 1), (0, 1, 2, 3), G.closure([5, 6, 96]), whole]:
+            sub = tuple(sorted(sub))
+            assert G.class_representative(sub) == (sub, 0)
+            assert G.normalizer(sub) == whole
+            assert G.subgroup(sub).canonical_maps[0] is G.subgroup(sub)
+        with pytest.raises(InputError):
+            G.normalizer([0, 1, 2])  # not closed
 
     @pytest.mark.parametrize("name", ["d8", "s4", "z2xz4"])
     def test_class_data_matches_conjugation_pass(self, request, name):

@@ -12,7 +12,6 @@ from burnside import (
     SymbolSum,
     apply_dual,
     canonicalize_symbol,
-    combine,
     conjugate_symbol,
     construction_a,
     restrict_character,
@@ -144,6 +143,22 @@ class TestSymbolInvariants:
         with pytest.raises(InputError):
             Symbol.from_json(d8, "oops")
 
+    @pytest.mark.parametrize(
+        "elems", [5, None, "01", {"0": 1}, [[0]], [0, 1.0], [0, True], [0, 8], [-1, 0], []],
+        ids=["int", "null", "string", "object", "nested", "float", "bool", "past-order",
+             "negative", "empty"],
+    )
+    def test_json_subgroup_list_checked_by_subgroup(self, d8, elems):
+        # the list is handed to FiniteGroup.subgroup as it stands, so a bad
+        # one gets the message the subgroup check gives it
+        field = {"atom": {"name": "k", "trdeg": 0}}
+        obj = {"subgroup": elems, "field": field, "beta": [[1]], "n": 1}
+        with pytest.raises(InputError) as want:
+            d8.subgroup(elems)
+        with pytest.raises(InputError) as got:
+            Symbol.from_json_obj(d8, obj)
+        assert str(got.value) == str(want.value)
+
     def test_symbols_over_distinct_groups_differ(self):
         # subgroups are interned per group object: one table built twice
         # gives two symbols with equal fields that are two dict keys
@@ -187,9 +202,10 @@ class TestSymbolSum:
         assert list(x.terms.values()) == [2]
 
     def test_combine(self):
+        # 2 s - (s + t): the constructor merges the coefficients of one key
         s = full_group_symbol((3,), [(1,), (1,)], 2)
         t = full_group_symbol((3,), [(1,), (2,)], 2)
-        x = combine(SymbolSum.of(s), SymbolSum.of(s, t), 2, -1)
+        x = SymbolSum([(s, 2), (s, -1), (t, -1)])
         assert x.terms == {
             canonicalize_symbol(s): 1,
             canonicalize_symbol(t): -1,
