@@ -97,9 +97,10 @@ class BnGPresentation:
         per-factor differences: |A|^2 codes, built for the relation rows alone."""
         A, minus = self.A, []
         for a in A.elements():
-            places = zip(a, A.invariant_factors, A.strides)
-            digits = ([(x - y) % q * w for x in range(q)] for y, q, w in places)
-            minus.append(list(map(sum, itertools.product(*digits))))
+            res = [0]  # the codes in code order, last digit fastest
+            for y, q, w in zip(a, A.invariant_factors, A.strides):
+                res = [r + (x - y) % q * w for r in res for x in range(q)]
+            minus.append(res)
         return minus
 
     @cached_property

@@ -17,7 +17,7 @@ from .abelian import AbelianGroup, wedge_equivalent
 from .bng import BnGPresentation, equal_classes, reduce_class
 from .errors import BurnsideError, InputError, SizeError, is_int_rows, load_json
 from .groups import MAX_GROUP_ORDER, FiniteGroup
-from .relations import expand_b2, relation_rows
+from .relations import expand_b2, price_relation_rows, relation_rows
 from .symbols import Atom, Symbol, canonicalize_symbol
 
 EXIT_OK = 0
@@ -115,13 +115,15 @@ def _cmd_canon(args) -> str:
 
 def _cmd_verify_prop71(args) -> str:
     # all rows span what the j = 2 rows span when the j >= 3 rows lie in their
-    # lattice (none at n <= 2).  n < 1 and the candidate bound fail on the
-    # generators, and the j >= 3 rows are priced, before a j = 2 row is built
+    # lattice: at n <= 2, with no such row, and when B_n(A) = 0, the lattice
+    # being Z^N.  n < 1 and the candidate bound fail on the generators, and
+    # the j >= 3 rows are priced, before a j = 2 row is built
     P = BnGPresentation(_abelian_group(args.group), args.n)
     if args.n == 1 or not P.generator_codes or args.n == 2:
         return _dump({"row_spaces_equal": True})
-    rows = relation_rows(P, args.n, 3)
-    return _dump({"row_spaces_equal": P.smith_form.contains(rows)})
+    price_relation_rows(P, args.n)
+    F = P.smith_form
+    return _dump({"row_spaces_equal": not F.orders or F.contains(relation_rows(P, args.n, 3))})
 
 
 def d8_example_report() -> dict:

@@ -144,6 +144,20 @@ def expand_prop46(s: Symbol, j: int) -> SymbolSum:
     return SymbolSum((term, 1) for _, term in _blowup_terms(s, s.beta, j))
 
 
+def price_relation_rows(P, j_max: int) -> None:
+    """A size error when the rows of j from 2 to ``j_max``, at ``n`` cells
+    per generator and position set, more than the sub-multisets visited,
+    pass the bound."""
+    cells = 0
+    for j in range(2, j_max + 1):
+        cells += len(P.generator_codes) * math.comb(P.n, j) * P.n
+        if cells > MAX_RELATION_CELLS:
+            raise SizeError(
+                "the relation rows visit more cells than the bound "
+                f"{MAX_RELATION_CELLS}"
+            )
+
+
 def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     """Sparse relation matrix over the generators of a tuple-group presentation.
 
@@ -151,22 +165,13 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     One deduplicated row per generator, j from ``j_min`` to ``j_max`` and
     sub-multiset of j of its characters: the generator minus the sum of its
     transformed tuples, columns in generator order, rows sorted as tuples of
-    ``(column, value)`` items.  Before any is built, the work of every j
-    from 2 to ``j_max`` is bounded by ``n`` cells per generator and
-    position set, more than the sub-multisets visited.
+    ``(column, value)`` items.  Before any is built, ``price_relation_rows``
+    bounds the work of every j from 2 to ``j_max``.
     """
     n = P.n
     if not (2 <= j_min <= j_max <= n):
         raise InputError(f"need 2 <= j_min = {j_min} <= j_max = {j_max} <= n = {n}")
-    gens = P.generator_codes
-    cells = 0
-    for j in range(2, j_max + 1):
-        cells += len(gens) * math.comb(n, j) * n
-        if cells > MAX_RELATION_CELLS:
-            raise SizeError(
-                "the relation rows visit more cells than the bound "
-                f"{MAX_RELATION_CELLS}"
-            )
+    price_relation_rows(P, j_max)
     _, index = P.coded_table
     minus = P.difference_table
     rows = set()
@@ -190,4 +195,4 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
                     del row[k]
                 if row:
                     rows.add(tuple(sorted(row.items())))
-    return SparseMatrix(tuple(sorted(rows)), len(gens))
+    return SparseMatrix(tuple(sorted(rows)), len(index))

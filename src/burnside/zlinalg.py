@@ -162,7 +162,9 @@ class SmithForm:
 
     def _coordinates(self, row: dict) -> list[int]:
         """Class coordinates of the sparse ``row``: W on what the forward
-        solve leaves of it, as pivot rows map to 0."""
+        solve leaves of it, as pivot rows map to 0; no solve if there are none."""
+        if not self.orders:
+            return []
         out = [0] * len(self.orders)
         for j, x in self._solve(row).items():
             out = [y + x * v for y, v in zip(out, self._residual_rows[j])]
@@ -188,67 +190,67 @@ class SmithForm:
         )
 
 
-def _eliminate(rows, in_col, p, c, heap) -> dict:
-    """Sign-normalise row ``p`` at its unit in column ``c``, clear that
-    column from every other row, pushing ``(length, r)`` onto ``heap`` for
-    each row r that then holds a +-1, take ``p`` out of the index, and
-    return its row without column ``c``."""
-    prow = rows[p]
-    if prow[c] == -1:
-        prow = rows[p] = {j: -x for j, x in prow.items()}
-    del prow[c]
-    col, in_col[c] = in_col[c], set()  # column c is left to p alone
-    for r in col:
-        if r == p:
-            continue
-        row = rows[r]
-        q = row.pop(c)
-        for j, x in prow.items():
-            y = row.get(j)
-            if y is None:  # a new entry: nonzero, as q and x are
-                row[j] = -q * x
-                in_col[j].add(r)
-                continue
-            y -= q * x
-            if y:
-                row[j] = y
-            else:
-                del row[j]
-                in_col[j].discard(r)
-        if _has_unit(row):
-            heapq.heappush(heap, (len(row), r))
-    for j in prow:
-        in_col[j].discard(p)
-    return prow
-
-
 def smith_normal_form(M: SparseMatrix) -> SmithForm:
     """Smith form of a sparse matrix ``M``: the divisors, one per column
     (``d_1 | d_2 | ...`` positive, then zeros for the free part), and the
     record that class coordinates and membership read.  Unit pivots take a
-    fill-reducing order (after Markowitz): the pivot is the shortest row
-    holding a +-1, at its unit in the column with the fewest entries; the
-    column is cleared from the other rows, and the pivot row, left to
-    column operations, is recorded and dropped.  For the divisors the dense
-    loop runs on the rest as it stands, on the columns it holds, with no
-    transform.  No row transform is built.
+    fill-reducing order (after Markowitz), in one loop: a ``(length, row)``
+    heap, stale entries skipped, gives the shortest row holding a +-1; its
+    unit in the column with the fewest rows is the pivot, the column is
+    cleared from the other rows and its row set dropped, and the pivot row,
+    sign-normalised and left to column operations, is recorded and dropped.
+    The dense loop takes the rest for the divisors, as it stands, on the
+    columns it holds, with no transform.  No row transform is built.
     """
     rows = [dict(row) for row in M.entries]
     in_col = [set() for _ in range(M.num_cols)]  # the rows held per column
+    heap = []  # (length, row) per row holding a unit; stale ones skipped
     for i, row in enumerate(rows):
         for j in row:
             in_col[j].add(i)
-    # (length, row) per row holding a unit, sorted (a heap); stale ones skipped
-    heap = sorted((len(row), i) for i, row in enumerate(rows) if _has_unit(row))
+        if _has_unit(row):
+            heap.append((len(row), i))
+    heapq.heapify(heap)
     pivots = []
     while heap:
         size, p = heapq.heappop(heap)
-        if len(rows[p]) != size or not _has_unit(rows[p]):
+        prow = rows[p]
+        if len(prow) != size:
             continue
-        c = min((len(in_col[j]), j) for j, x in rows[p].items() if x == 1 or x == -1)[1]
-        prow = _eliminate(rows, in_col, p, c, heap)
-        pivots.append((c, tuple(prow.items())))
+        c, fewest = -1, len(rows) + 1
+        for j, x in prow.items():
+            if x == 1 or x == -1:
+                k = len(in_col[j])
+                if k < fewest or k == fewest and j < c:
+                    c, fewest = j, k
+        if c < 0:  # no unit left
+            continue
+        if prow[c] == -1:
+            prow = {j: -x for j, x in prow.items()}
+        del prow[c]
         rows[p] = {}
+        items = tuple(prow.items())
+        col, in_col[c] = in_col[c], None  # no row holds column c again
+        for r in col:
+            if r == p:
+                continue
+            row = rows[r]
+            q = row.pop(c)
+            for j, x in items:
+                y = row.get(j)
+                if y is None:  # a new entry: nonzero, as q and x are
+                    row[j] = -q * x
+                    in_col[j].add(r)
+                elif y == q * x:
+                    del row[j]
+                    in_col[j].discard(r)
+                else:
+                    row[j] = y - q * x
+            if _has_unit(row):
+                heapq.heappush(heap, (len(row), r))
+        for j, _ in items:
+            in_col[j].discard(p)
+        pivots.append((c, items))
     block = tuple(row for row in rows if row)
     step = {c: s for s, (c, _) in enumerate(pivots)}
     residual = (tuple(j for j in range(M.num_cols) if j not in step), block)

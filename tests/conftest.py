@@ -193,6 +193,43 @@ def dense_smith_reference(M) -> list[int]:
     return [a[k][k] for k in range(t)] + [0] * (n - t)
 
 
+def unit_pivot_reference(M) -> tuple:
+    """The unit-pivot phase of the Smith elimination by its documented rule,
+    re-scanning every row at every step: ``(pivots, step, residual)`` as
+    the library records them.
+
+    Each step takes the row holding a +-1 with the least ``(len(row),
+    index)``, and in it the unit whose column the fewest rows hold, ties by
+    column.  The row is multiplied by the sign of that unit, the column is
+    cleared from every other row, and the row is recorded without the
+    column and dropped.  Entries keep their first position in a row, and a
+    new one goes last.
+    """
+    rows = [dict(row) for row in M.entries]
+    pivots = []
+    while True:
+        with_unit = [(len(row), i) for i, row in enumerate(rows) if 1 in map(abs, row.values())]
+        if not with_unit:
+            break
+        p = min(with_unit)[1]
+        held = {j: sum(j in row for row in rows) for j in rows[p]}
+        c = min((held[j], j) for j, x in rows[p].items() if abs(x) == 1)[1]
+        sign = rows[p][c]
+        pivot = {j: sign * x for j, x in rows[p].items() if j != c}
+        rows[p] = {}
+        for row in rows:
+            if c in row:
+                q = row.pop(c)
+                for j, x in pivot.items():
+                    row[j] = row.get(j, 0) - q * x
+                    if not row[j]:
+                        del row[j]
+        pivots.append((c, tuple(pivot.items())))
+    step = {c: s for s, (c, _) in enumerate(pivots)}
+    residual = (tuple(j for j in range(M.num_cols) if j not in step), tuple(filter(None, rows)))
+    return tuple(pivots), step, residual
+
+
 def certifies_class_map(M, F) -> bool:
     """Whether the class coordinates of ``F``, the Smith form of ``M``, pass
     a certificate that needs no V: every row of M maps to 0 on each free

@@ -14,6 +14,7 @@ import burnside.abelian
 import burnside.bng
 import burnside.relations
 import burnside.symbols
+import burnside.zlinalg
 from burnside import (
     AbelianGroup,
     Atom,
@@ -45,6 +46,7 @@ from conftest import (
     full_group_symbol,
     full_subgroup,
     generates,
+    group_json,
     structure_by_ranks,
 )
 
@@ -267,6 +269,43 @@ class TestOneEnumeration:
         assert out == ""
         assert err.startswith("size error: the relation rows visit more cells")
 
+    @pytest.mark.parametrize("factors, n", [((5,), 4), ((2, 2), 3)])
+    def test_verify_prop71_answers_a_zero_group_from_its_j2_divisors(
+        self, factors, n, monkeypatch, capsys
+    ):
+        # B_n(A) = 0: the j = 2 divisors are all 1, so their lattice is all
+        # of Z^N and holds every j >= 3 row; none is built
+        from burnside import cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("j >= 3 rows built for a zero B_n(A)")
+
+        A = AbelianGroup(factors)
+        assert BnGPresentation(A, n).structure() == (0, [])
+        monkeypatch.setattr(cli, "relation_rows", refuse)
+        assert cli.run(["verify-prop71", "--group", group_json(A), "--n", str(n)]) == 0
+        assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
+
+    @pytest.mark.parametrize("factors", [(7,), (2, 2, 2)])
+    def test_verify_prop71_builds_the_j3_rows_of_a_nonzero_group(
+        self, factors, monkeypatch, capsys
+    ):
+        from burnside import cli
+
+        built = []
+        original = cli.relation_rows
+
+        def counting(P, j_max, j_min=2):
+            built.append((j_max, j_min))
+            return original(P, j_max, j_min)
+
+        A = AbelianGroup(factors)
+        assert BnGPresentation(A, 3).structure() != (0, [])
+        monkeypatch.setattr(cli, "relation_rows", counting)
+        assert cli.run(["verify-prop71", "--group", group_json(A), "--n", "3"]) == 0
+        assert capsys.readouterr().out == '{"row_spaces_equal":true}\n'
+        assert built == [(3, 3)]
+
 
 class TestOneTable:
     def test_rows_and_classes_share_one_table(self, monkeypatch):
@@ -392,6 +431,18 @@ class TestModPOracle:
 
 
 class TestReduce:
+    def test_zero_group_reads_no_pivot(self, monkeypatch):
+        # B_3(Z/5) = 0 has no class coordinate, so a class query answers
+        # the zero class without a forward solve
+        def refuse(F, row):
+            raise AssertionError("forward solve for a zero B_n(A)")
+
+        P = BnGPresentation(AbelianGroup((5,)), 3)
+        assert P.structure() == (0, [])
+        monkeypatch.setattr(burnside.zlinalg.SmithForm, "_solve", refuse)
+        cls = reduce_class(P, {P.generators[0]: 3, P.generators[-1]: -1})
+        assert cls == BnGClass(free=(), torsion=())
+
     def test_relation_rows_reduce_to_zero(self):
         for factors in ((3,), (4,), (2, 2)):
             P = BnGPresentation(AbelianGroup(factors), 2)

@@ -27,6 +27,7 @@ from conftest import (
     row_space_equal,
     sparse_matrix,
     table_presentations,
+    unit_pivot_reference,
 )
 
 
@@ -150,10 +151,35 @@ def _random_matrices():
         )
 
 
+def _sparse_matrices():
+    """Matrices of up to 12 x 12 on entries -2..2, mostly zeros, so rows
+    lose and regain units and -1 pivots occur."""
+    entries = st.sampled_from((0, 0, 0, 0, 1, -1, 2, -2))
+
+    def matrices(cols):
+        rows = st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=12)
+        return rows.map(lambda rs: sparse_matrix(rs, cols))
+
+    return st.integers(1, 12).flatmap(matrices)
+
+
 class TestSparseUnitPivots:
     """The divisors match the dense reference, and the class coordinates,
     read from the record of the same fill-reducing elimination, pass the
     certificate."""
+
+    @given(_sparse_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_pivot_record_matches_the_rescanning_rule(self, M):
+        # the heap, the column index and the in-place updates choose and
+        # record exactly what a full re-scan by the documented rule does
+        F = smith_normal_form(M)
+        pivots, step, residual = unit_pivot_reference(M)
+        assert F.pivots == pivots
+        assert F.step == step
+        cols, block = F.residual
+        assert (cols, [tuple(row.items()) for row in block]) == (
+            residual[0], [tuple(row.items()) for row in residual[1]])
 
     def test_matches_dense_reference_random(self):
         for M in _random_matrices():
@@ -244,6 +270,10 @@ class TestNormalFormMap:
             (["verify-prop71", "--group", '{"invariant_factors":[4]}', "--n", "3"],
              '{"row_spaces_equal":true}\n'),
             (["verify-prop71", "--group", '{"invariant_factors":[2,2]}', "--n", "3"],
+             '{"row_spaces_equal":true}\n'),
+            # B_3(Z/3 x Z/3) has free rank 3, so its j = 3 rows are solved, all
+            # on the pivots
+            (["verify-prop71", "--group", '{"invariant_factors":[3,3]}', "--n", "3"],
              '{"row_spaces_equal":true}\n'),
         ):
             assert cli.run(argv) == 0
