@@ -144,17 +144,19 @@ class BnGClass:
         return {"free": list(self.free), "torsion": list(self.torsion)}
 
 
-def reduce_class(P: BnGPresentation, x) -> BnGClass:
-    """Normal form of an integer combination of generators.
-
-    ``x`` maps generator multisets to coefficients.  Two combinations get
-    the same normal form exactly when they differ by a relation row.
-    """
+def _terms(P: BnGPresentation, x) -> list[tuple[int, int]]:
+    """``(column, coefficient)`` per term of ``x``, checked, with no
+    elimination."""
     items = x.items() if isinstance(x, dict) else x
     terms = [(P.coerce_generator(gen), coeff) for gen, coeff in items]
     for _, coeff in terms:
         if type(coeff) is not int:  # booleans too, as in the JSON checks
             raise InputError(f"coefficient {coeff!r} is not an integer")
+    return terms
+
+
+def _class(P: BnGPresentation, terms) -> BnGClass:
+    """Normal form of checked terms, read from the presentation's form."""
     F = P.smith_form
     # the sum of the generators' coordinates, each built on first use
     image = [0] * len(F.orders)
@@ -166,9 +168,20 @@ def reduce_class(P: BnGPresentation, x) -> BnGClass:
     return BnGClass(free=free, torsion=torsion)
 
 
+def reduce_class(P: BnGPresentation, x) -> BnGClass:
+    """Normal form of an integer combination of generators.
+
+    ``x`` maps generator multisets to coefficients.  Two combinations get
+    the same normal form exactly when they differ by a relation row.
+    """
+    return _class(P, _terms(P, x))
+
+
 def equal_classes(P: BnGPresentation, x, y) -> bool:
-    """Whether two combinations of generators define the same class."""
-    return reduce_class(P, x) == reduce_class(P, y)
+    """Whether two combinations of generators define the same class; both
+    are checked before the elimination."""
+    x, y = _terms(P, x), _terms(P, y)
+    return _class(P, x) == _class(P, y)
 
 
 def project_symbol(s: Symbol, P: BnGPresentation) -> dict:

@@ -63,8 +63,9 @@ def _char_rows(value: str, what: str) -> list:
     return data
 
 
-def _char_tuple(A: AbelianGroup, value: str, what: str):
-    return [A.reduce(c) for c in _char_rows(value, what)]
+def _char_tuple(value: str, what: str) -> tuple:
+    # checked rows as a hashable tuple; the presentation reduces them
+    return tuple(map(tuple, _char_rows(value, what)))
 
 
 def _cmd_bng_structure(args) -> str:
@@ -78,19 +79,15 @@ def _cmd_bng_structure(args) -> str:
 
 
 def _cmd_bng_reduce(args) -> str:
-    A = _abelian_group(args.group)
-    P = BnGPresentation(A, args.n)
-    chars = _char_tuple(A, args.cls, "--class")
-    cls = reduce_class(P, {tuple(chars): 1})
+    P = BnGPresentation(_abelian_group(args.group), args.n)
+    cls = reduce_class(P, {_char_tuple(args.cls, "--class"): 1})
     return _dump({"normal_form": cls.to_json_obj()})
 
 
 def _cmd_bng_equal(args) -> str:
-    A = _abelian_group(args.group)
-    P = BnGPresentation(A, args.n)
-    x = _char_tuple(A, args.x, "--x")
-    y = _char_tuple(A, args.y, "--y")
-    return _dump({"equal": equal_classes(P, {tuple(x): 1}, {tuple(y): 1})})
+    P = BnGPresentation(_abelian_group(args.group), args.n)
+    x, y = _char_tuple(args.x, "--x"), _char_tuple(args.y, "--y")
+    return _dump({"equal": equal_classes(P, {x: 1}, {y: 1})})
 
 
 def _printed_expansion(report) -> dict:

@@ -177,15 +177,20 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     rows = set()
     for gen, k in index.items():
         for j in range(j_min, j_max + 1):
-            for head in set(itertools.combinations(gen, j)):
-                tail = list(gen)
-                for a in head:
-                    tail.remove(a)
+            # at j = n the head is the generator and the tail is empty
+            heads = (gen,) if j == n else set(itertools.combinations(gen, j))
+            for head in heads:
+                tail = []
+                if j < n:
+                    tail = list(gen)
+                    for a in head:
+                        tail.remove(a)
                 row = {k: 1}
                 for t, a_i in enumerate(head):
                     if t and head[t - 1] == a_i:  # heads are sorted
                         continue
-                    transformed = list(map(minus[a_i].__getitem__, head))
+                    m = minus[a_i]
+                    transformed = [m[b] for b in head]
                     transformed[t] = a_i
                     transformed += tail
                     transformed.sort()

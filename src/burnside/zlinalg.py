@@ -2,12 +2,13 @@
 
 One matrix type, sparse rows, and one kernel: Smith divisors in plain
 Python ints, so coefficient growth is harmless, by unit pivots in a
-fill-reducing order and a dense loop on the block left, as it stands and
-with no transform.  The elimination's record has one reader, a forward
-solve over the pivots: with the block's transform it gives class
+fill-reducing order and a dense loop, with no transform, on an echelon
+triangle of the block left.  The elimination's record has one reader, a
+forward solve over the pivots: with the block's transform it gives class
 coordinates, and a row lies in the row lattice exactly when it maps to the
-zero class.  A form runs at most two dense loops: one for the divisors,
-and one for the transform on the first class query.
+zero class.  A form runs at most two dense loops: one on the triangle for
+the divisors, and one on the block as it stands for the transform, on the
+first class query.
 """
 
 from __future__ import annotations
@@ -107,8 +108,25 @@ def _dense_smith(a, vcols) -> list[int]:
     return [a[k][k] for k in range(t)]
 
 
-def _has_unit(row: dict) -> bool:
-    return 1 in row.values() or -1 in row.values()
+def _echelon(a) -> list[list[int]]:
+    """The nonzero rows of an echelon form of the rows ``a``, by unimodular
+    row steps with no modulus: per column, the entry of least absolute value
+    divides the others down (Euclid) until it alone is nonzero, and its row
+    leaves.  Each row leads further right: no more rows than columns."""
+    rows, out = [r for r in a if any(r)], []
+    for j in range(len(a[0]) if a else 0):
+        live = [r for r in rows if r[j]]
+        rows = [r for r in rows if not r[j]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[j]))
+            for r in live:
+                if r is not p:
+                    q = r[j] // p[j]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+            rows += [r for r in live if not r[j] and any(r)]
+            live = [r for r in live if r[j]]
+        out += live
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +217,10 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
     unit in the column with the fewest rows is the pivot, the column is
     cleared from the other rows and its row set dropped, and the pivot row,
     sign-normalised and left to column operations, is recorded and dropped.
-    The dense loop takes the rest for the divisors, as it stands, on the
-    columns it holds, with no transform.  No row transform is built.
+    The block left, on the columns it holds, is turned tall (its transpose
+    has the same divisors) and brought to an echelon triangle, at most the
+    short side square, and the dense loop takes that for the divisors, with
+    no transform.  No row transform is built.
     """
     rows = [dict(row) for row in M.entries]
     in_col = [set() for _ in range(M.num_cols)]  # the rows held per column
@@ -208,7 +228,7 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
     for i, row in enumerate(rows):
         for j in row:
             in_col[j].add(i)
-        if _has_unit(row):
+        if 1 in row.values() or -1 in row.values():
             heap.append((len(row), i))
     heapq.heapify(heap)
     pivots = []
@@ -225,15 +245,14 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
                     c, fewest = j, k
         if c < 0:  # no unit left
             continue
-        if prow[c] == -1:
-            prow = {j: -x for j, x in prow.items()}
-        del prow[c]
         rows[p] = {}
-        items = tuple(prow.items())
+        if prow.pop(c) == 1:
+            items = tuple(prow.items())
+        else:
+            items = tuple((j, -x) for j, x in prow.items())
         col, in_col[c] = in_col[c], None  # no row holds column c again
+        col.remove(p)
         for r in col:
-            if r == p:
-                continue
             row = rows[r]
             q = row.pop(c)
             for j, x in items:
@@ -246,7 +265,7 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
                     in_col[j].discard(r)
                 else:
                     row[j] = y - q * x
-            if _has_unit(row):
+            if 1 in row.values() or -1 in row.values():
                 heapq.heappush(heap, (len(row), r))
         for j, _ in items:
             in_col[j].discard(p)
@@ -256,6 +275,9 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
     residual = (tuple(j for j in range(M.num_cols) if j not in step), block)
     held = sorted({j for row in block for j in row})
     a = [[row.get(j, 0) for j in held] for row in block]
-    divisors = [1] * len(pivots) + _dense_smith(a, [[]] * len(held))
+    if len(held) > len(block):  # tall: the transpose has the same divisors
+        a = [list(col) for col in zip(*a)]
+    width = min(len(held), len(block))
+    divisors = [1] * len(pivots) + _dense_smith(_echelon(a), [[]] * width)
     divisors += [0] * (M.num_cols - len(divisors))
     return SmithForm(divisors, tuple(pivots), step, residual)

@@ -403,13 +403,21 @@ class TestModPOracle:
 
     @pytest.mark.parametrize(
         "p,torsion,ranks",
-        [(127, [2] * 8 + [672], {2: 9}), (151, [2, 2, 2, 2, 950], {2: 5})],
+        [
+            (127, [2] * 8 + [672], {2: 9}),
+            (151, [2, 2, 2, 2, 950], {2: 5}),
+            # 20,473 unit pivots leave a 47 x 1,850 block.  Its torsion read
+            # [1855] when this case was added; only the closed form is gated,
+            # and the mod-2 ranks of a 22,260 x 22,365 matrix are not taken
+            (211, None, None),
+        ],
     )
     def test_b2_past_the_size_bound(self, p, torsion, ranks, monkeypatch):
         # with the cells bound lifted, B_2(Z/127) leaves a 19 x 682 block
-        # after its unit pivots: as it stands the dense loop answers in about
-        # a second, while on the 682 x 19 transpose its entries grow past
-        # any timeout
+        # after its unit pivots.  The divisor pass turns it tall, 682 x 19,
+        # and brings that to an echelon triangle of at most 19 x 19 before
+        # the dense loop: on a wide block itself, such as B_2(Z/211)'s
+        # 47 x 1,850, the dense loop takes past 90 s
         lift = 10**12
         code = (
             "import burnside.bng, burnside.relations\n"
@@ -423,6 +431,9 @@ class TestModPOracle:
         )
         assert proc.returncode == 0, proc.stderr
         free = (p * p + 23) // 24
+        if torsion is None:
+            assert proc.stdout.startswith(f"({free}, [")
+            return
         assert proc.stdout == f"{(free, torsion)}\n"
         monkeypatch.setattr(burnside.bng, "MAX_RELATION_CELLS", lift)
         monkeypatch.setattr(burnside.relations, "MAX_RELATION_CELLS", lift)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burnside import InputError, cli
+from burnside import BnGPresentation, InputError, cli
 from conftest import compose_permutations, permutation_closure, table_by_composition
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -458,6 +458,28 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "input error: tuple has 3 characters, not n = 2\n"
+
+    @pytest.mark.parametrize(
+        "y,message",
+        [
+            ("[[1,0],[1]]", "character has length 2, expected 1"),
+            ("[[1],[1],[1]]", "tuple has 3 characters, not n = 2"),
+            ("[[0],[3]]", "tuple ((0,), (0,)) is not a generator (must generate A)"),
+        ],
+        ids=["length", "count", "generate"],
+    )
+    def test_bad_y_fails_before_any_elimination(self, y, message, monkeypatch, capsys):
+        # both sides are reduced and checked, once each, before the
+        # presentation eliminates: a good --x runs no Smith form first
+        def refuse(P):
+            raise AssertionError("eliminated before --y was checked")
+
+        monkeypatch.setattr(BnGPresentation, "smith_form", property(refuse))
+        argv = ["bng-equal", "--group", Z3, "--n", "2", "--x", "[[0],[1]]", "--y", y]
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {message}\n"
 
     @pytest.mark.parametrize("n", ["0", "-1"])
     @pytest.mark.parametrize("command", ["bng-structure", "verify-prop71"])

@@ -193,8 +193,9 @@ class TestSparseUnitPivots:
     def test_dense_loop_sees_only_the_residual(self, monkeypatch):
         # B_2(Z/23), 264 x 275: 250 unit pivots in the fill-reducing order
         # leave 3 rows on 25 columns.  For the divisors, the 3 x 24 block on
-        # the columns still held runs as it stands, with no transform; for
-        # class coordinates, the 3 x 25 block runs once with its 25
+        # the columns still held is turned tall and brought to an echelon
+        # triangle, at most 3 x 3, which runs with no transform; for class
+        # coordinates, the 3 x 25 block runs as it stands, once, with its 25
         # transform columns.  The dense row and column operations act on
         # those alone, never on the full matrix
         touched = []
@@ -221,7 +222,7 @@ class TestSparseUnitPivots:
         for k in range(M.num_cols):  # the transform is built once per form
             F.image(k)
         assert touched == builds
-        for ops, (rows, cols) in ((divisors_only, (3, 24)), (touched, (3, 25))):
+        for ops, (rows, cols) in ((divisors_only, (3, 3)), (touched, (3, 25))):
             assert ops
             for name, height, width in ops:
                 if name in ("_swap_cols", "_add_col"):
@@ -229,6 +230,87 @@ class TestSparseUnitPivots:
                 else:
                     # a row operation on the block or on transform columns
                     assert height <= max(rows, cols), (name, height, width)
+
+
+@st.composite
+def _unit_free_blocks(draw):
+    """Matrices of up to 6 x 6, tall and wide, on entries up to +-50 with no
+    unit, so the unit pivots leave them whole to the divisor pass, with some
+    rows and columns zero."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = st.integers(-50, 50).filter(lambda x: abs(x) != 1)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
+    return sparse_matrix(rows, n)
+
+
+def _transpose(M):
+    return sparse_matrix(list(zip(*dense_rows(M))), M.num_rows)
+
+
+class TestEchelonDivisorPass:
+    """The divisors of the block left after the unit pivots are read from an
+    echelon triangle of it, turned tall first: checked against the dense
+    reference on full-width rows and the minor gcds, neither of which
+    triangularises."""
+
+    @given(_unit_free_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_divisors_match_the_oracles(self, M):
+        # the block and its transpose: one of them is the wide case
+        for N in (M, _transpose(M)):
+            F = smith_normal_form(N)
+            assert not F.pivots
+            check_snf(N)
+
+    @given(_unit_free_blocks())
+    @settings(max_examples=150, deadline=None)
+    def test_echelon_is_a_triangle(self, M):
+        # leading columns strictly increase, so there are at most as many
+        # rows as columns, and no row is zero
+        a = burnside.zlinalg._echelon(dense_rows(M))
+        leads = [next(j for j, x in enumerate(row) if x) for row in a]
+        assert leads == sorted(set(leads))
+        assert len(a) <= min(M.num_rows, M.num_cols)
+
+    def test_dense_loop_runs_on_the_triangle(self, monkeypatch):
+        # the divisor pass hands the dense loop at most min(rows, cols) rows
+        # of the short side, while the transform W still runs on the block
+        # as it stands, so class coordinates do not move
+        calls = []
+        dense = burnside.zlinalg._dense_smith
+
+        def spy(a, vcols):
+            calls.append((any(vcols), [list(row) for row in a], len(vcols)))
+            return dense(a, vcols)
+
+        monkeypatch.setattr(burnside.zlinalg, "_dense_smith", spy)
+        rng = random.Random(34)
+        blocks = [
+            BnGPresentation(AbelianGroup((23,)), 2).relation_matrix,  # 3 x 24 left
+            BnGPresentation(AbelianGroup((2, 2, 2)), 3).relation_matrix,  # 64 x 8 left
+            sparse_matrix([[rng.choice((0, 2, -3, 4)) for _ in range(7)] for _ in range(3)]),
+            sparse_matrix([[rng.choice((0, 2, -3, 4)) for _ in range(3)] for _ in range(7)]),
+        ]
+        for M in blocks:
+            calls.clear()
+            F = smith_normal_form(M)
+            cols, block = F.residual
+            held = sorted({j for row in block for j in row})
+            short = min(len(block), len(held))
+            [(transform, a, width)] = calls
+            assert not transform and width == short
+            assert len(a) <= short and all(len(row) == short for row in a)
+            calls.clear()
+            certify(M, F)
+            [(transform, a, width)] = calls
+            assert transform and width == len(cols)
+            assert a == [[row.get(j, 0) for j in cols] for row in block]
 
 
 class TestNormalFormMap:
