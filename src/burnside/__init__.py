@@ -17,11 +17,7 @@ from .bng import (
 )
 from .errors import (
     BurnsideError,
-    DomainError,
     InputError,
-    InvariantError,
-    PreconditionError,
-    ProvenanceError,
     SizeError,
 )
 from .groups import (
@@ -56,13 +52,9 @@ __all__ = [
     "BnGPresentation",
     "BurnsideError",
     "ConstrA",
-    "DomainError",
     "ExpansionReport",
     "FiniteGroup",
     "InputError",
-    "InvariantError",
-    "PreconditionError",
-    "ProvenanceError",
     "SizeError",
     "SparseMatrix",
     "SubgroupRef",

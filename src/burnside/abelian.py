@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mod
 from typing import TYPE_CHECKING
 
-from .errors import InputError, InvariantError, PreconditionError, SizeError
+from .errors import BurnsideError, InputError, SizeError
 from .errors import is_int_rows, load_json
 
 if TYPE_CHECKING:
@@ -39,12 +39,12 @@ class AbelianGroup:
         object.__setattr__(self, "invariant_factors", facs)
         for n in facs:
             if type(n) is not int:  # booleans too, as in the JSON checks
-                raise InvariantError(f"invariant factor {n!r} is not an integer")
+                raise InputError(f"invariant factor {n!r} is not an integer")
             if n < 2:
-                raise InvariantError(f"invariant factor {n} < 2")
+                raise InputError(f"invariant factor {n} < 2")
         for a, b in zip(facs, facs[1:]):
             if b % a:
-                raise InvariantError(f"invariant factor {a} does not divide {b}")
+                raise InputError(f"invariant factor {a} does not divide {b}")
 
     @property
     def rank(self) -> int:
@@ -78,15 +78,13 @@ class AbelianGroup:
         )
 
     def reduce(self, vec) -> tuple[int, ...]:
-        vec = tuple(vec)
-        if len(vec) != self.rank:
-            raise InputError(
-                f"character has length {len(vec)}, expected {self.rank}"
-            )
+        vec, facs = tuple(vec), self.invariant_factors
+        if len(vec) != len(facs):
+            raise InputError(f"character has length {len(vec)}, expected {len(facs)}")
         for x in vec:
             if type(x) is not int:
                 raise InputError(f"character entry {x!r} is not an integer")
-        return tuple(map(operator.mod, vec, self.invariant_factors))
+        return tuple(map(mod, vec, facs))
 
     def add(self, a, b) -> tuple[int, ...]:
         return self.reduce(x + y for x, y in zip(self.reduce(a), self.reduce(b)))
@@ -121,10 +119,7 @@ class AbelianGroup:
         facs = data["invariant_factors"]
         if not is_int_rows([facs]):
             raise InputError('"invariant_factors" must be a list of integers')
-        try:
-            return AbelianGroup(tuple(facs))
-        except InvariantError as exc:
-            raise InputError(str(exc)) from exc
+        return AbelianGroup(tuple(facs))
 
     @staticmethod
     def from_json(text: str) -> "AbelianGroup":
@@ -183,11 +178,9 @@ def wedge_equivalent(A: AbelianGroup, beta, gamma) -> bool:
     beta = [A.reduce(b) for b in beta]
     gamma = [A.reduce(c) for c in gamma]
     if len(beta) != d or len(gamma) != d:
-        raise PreconditionError(
-            f"wedge comparison needs tuples of length rank = {d}"
-        )
+        raise InputError(f"wedge comparison needs tuples of length rank = {d}")
     if not generates_reduced(A, beta) or not generates_reduced(A, gamma):
-        raise PreconditionError("wedge comparison requires generating tuples")
+        raise InputError("wedge comparison requires generating tuples")
     if d == 0:
         return True
     n1 = A.invariant_factors[0]
@@ -220,7 +213,7 @@ def transport_characters(src: SubgroupRef, dst: SubgroupRef, g: int) -> list[lis
         row = []
         for c, n in zip(src.coords(G.conj(ginv, b)), n_src):
             if c * m % n:
-                raise InvariantError("dual map does not respect orders")
+                raise BurnsideError("dual map does not respect orders")
             row.append(c * m // n % m)
         mat.append(row)
     return mat

@@ -15,9 +15,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .abelian import AbelianGroup
-from .errors import DomainError, InputError, SizeError
+from .errors import InputError, SizeError
 from .relations import MAX_RELATION_CELLS, relation_rows
 from .symbols import Symbol
 from .zlinalg import SmithForm, SparseMatrix, smith_normal_form
@@ -85,11 +86,10 @@ class BnGPresentation:
         return [tuple(map(chars.__getitem__, c)) for c in self.generator_codes]
 
     @cached_property
-    def coded_table(self) -> tuple[dict, dict]:
-        """(character -> code, coded generator -> column), built once for the
-        relation rows and the class queries."""
-        code = {a: k for k, a in enumerate(self.A.elements())}
-        return code, {gen: k for k, gen in enumerate(self.generator_codes)}
+    def generator_index(self) -> dict[tuple[int, ...], int]:
+        """Coded generator -> column, built once for the relation rows and
+        the class queries."""
+        return {gen: k for k, gen in enumerate(self.generator_codes)}
 
     @cached_property
     def difference_table(self) -> list[list[int]]:
@@ -119,14 +119,16 @@ class BnGPresentation:
         return divisors.count(0), [d for d in divisors if d > 1]
 
     def coerce_generator(self, multiset) -> int:
-        """The column of a generator given as a multiset of characters."""
-        chars = [self.A.reduce(c) for c in multiset]
-        if len(chars) != self.n:
-            raise InputError(f"tuple has {len(chars)} characters, not n = {self.n}")
-        code, index = self.coded_table
-        k = index.get(tuple(sorted(map(code.__getitem__, chars))))
+        """The column of a generator given as a multiset of characters, each
+        reduced and coded as the sum of x_i strides_i."""
+        A, strides = self.A, self.A.strides
+        codes = [sum(map(mul, A.reduce(c), strides)) for c in multiset]
+        if len(codes) != self.n:
+            raise InputError(f"tuple has {len(codes)} characters, not n = {self.n}")
+        k = self.generator_index.get(tuple(sorted(codes)))
         if k is None:
-            raise InputError(f"tuple {tuple(sorted(chars))} is not a generator (must generate A)")
+            chars = tuple(sorted(map(A.reduce, multiset)))
+            raise InputError(f"tuple {chars} is not a generator (must generate A)")
         return k
 
 
@@ -192,7 +194,7 @@ def project_symbol(s: Symbol, P: BnGPresentation) -> dict:
     """
     G = s.group
     if not G.is_abelian:
-        raise DomainError("projection is defined for abelian ambient groups")
+        raise InputError("projection is defined for abelian ambient groups")
     if s.ambient_n != P.n:
         raise InputError(
             f"symbol dimension {s.ambient_n} != presentation dimension {P.n}"
@@ -200,7 +202,7 @@ def project_symbol(s: Symbol, P: BnGPresentation) -> dict:
     if len(s.subgroup.elements) != G.order:
         return {}
     if s.subgroup.structure.invariant_factors != P.A.invariant_factors:
-        raise DomainError(
+        raise InputError(
             "symbol character group does not match the presentation group"
         )
     coeff = s.field_label.alg_closure_degree

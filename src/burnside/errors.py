@@ -1,35 +1,23 @@
-"""Exception hierarchy shared by all modules, and the checks that turn
-malformed JSON input into an ``InputError``."""
+"""The package's three error classes, and the checks that turn malformed
+JSON input into an ``InputError``.
+
+The CLI exits 3 on a ``SizeError`` and 2 on any other ``BurnsideError``.
+A bare ``BurnsideError`` is a failed check on the package's own results,
+a bug rather than bad input."""
 
 import json
 
 
 class BurnsideError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class of the package's errors, raised itself by self-checks."""
 
 
 class InputError(BurnsideError):
-    """Malformed or inconsistent input data (bad JSON, shape mismatch, ...)."""
+    """Malformed, inconsistent or out-of-domain input, or a broken precondition."""
 
 
 class SizeError(BurnsideError):
-    """An enumeration exceeded its configured bound."""
-
-
-class PreconditionError(BurnsideError):
-    """An operation was called on arguments violating its stated precondition."""
-
-
-class InvariantError(BurnsideError):
-    """A structural invariant of a value would be violated."""
-
-
-class DomainError(BurnsideError):
-    """The operation is not defined for this kind of input (e.g. nonabelian group)."""
-
-
-class ProvenanceError(BurnsideError):
-    """Field-label metadata needed for the computation is unresolved."""
+    """An input whose cost is over its configured bound."""
 
 
 def load_json(text: str, what: str):

@@ -17,12 +17,12 @@ from functools import cached_property
 from operator import eq, itemgetter
 
 from .abelian import AbelianGroup, transport_characters
-from .errors import InputError, InvariantError, SizeError
+from .errors import BurnsideError, InputError, SizeError
 from .errors import is_int_rows, load_json
 
 # S6, the largest group the benchmark runs, has 612 abelian subgroups
 MAX_ABELIAN_SUBGROUPS = 5000
-# largest order of a group a constructor builds: its table has order² cells
+# largest order of a group, built or given as a table: its table has order² cells
 MAX_GROUP_ORDER = 2000
 # points a permutation closure stores, degree per element: as many as the
 # largest table has cells, so every group fits on as many points as its
@@ -70,6 +70,8 @@ class FiniteGroup:
 
     def __init__(self, cayley, _trusted=False):
         # the constructors hand over square arrays in range, identity at 0
+        if not _trusted and len(cayley) > MAX_GROUP_ORDER:  # before any row is read
+            raise SizeError(f"Cayley table of {len(cayley)} rows exceeds bound {MAX_GROUP_ORDER}")
         table = tuple(cayley if _trusted else map(tuple, cayley))
         n = len(table)
         if not _trusted:
@@ -350,7 +352,7 @@ class FiniteGroup:
                 raise InputError("element set is not closed under the group law")
             # every abelian subgroup of a nonabelian group has a class entry
             if not (self.is_abelian or key in self._class_info):
-                raise InvariantError("subgroup is not abelian")
+                raise InputError("subgroup is not abelian")
             refs[key] = SubgroupRef(group=self, elements=key)
         return refs[key]
 
@@ -424,7 +426,7 @@ def _split_abelian_basis(elems, mul, identity):
         # a maximal-order pivot guarantees a lift of the same order
         lift = next((x for x in elems if rep[x] == r and orders[x] == mq), None)
         if lift is None:
-            raise InvariantError("no order-preserving lift in abelian splitting")
+            raise BurnsideError("no order-preserving lift in abelian splitting")
         basis.append((lift, mq))
     return basis
 
@@ -482,9 +484,9 @@ class SubgroupRef:
             elems.append(tab[elems[x]][basis[k]])
         to_coords = dict(zip(elems, structure.elements()))
         if len(to_coords) != len(elems):
-            raise InvariantError("abelian basis is not independent")
+            raise BurnsideError("abelian basis is not independent")
         if len(to_coords) != len(self.elements):
-            raise InvariantError("abelian basis does not span the subgroup")
+            raise BurnsideError("abelian basis does not span the subgroup")
         return structure, basis, to_coords
 
     def coords(self, elem: int) -> tuple[int, ...]:

@@ -172,7 +172,7 @@ def relation_rows(P, j_max: int, j_min: int = 2) -> SparseMatrix:
     if not (2 <= j_min <= j_max <= n):
         raise InputError(f"need 2 <= j_min = {j_min} <= j_max = {j_max} <= n = {n}")
     price_relation_rows(P, j_max)
-    _, index = P.coded_table
+    index = P.generator_index
     minus = P.difference_table
     rows = set()
     for gen, k in index.items():

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from operator import mul
 
 from .abelian import AbelianGroup, apply_dual, generates_reduced, transport_characters
-from .errors import InputError, InvariantError, ProvenanceError, is_int_rows, load_json
+from .errors import InputError, is_int_rows, load_json
 from .groups import FiniteGroup, SubgroupRef
 
 
@@ -30,9 +30,11 @@ class Atom:
 
     def __post_init__(self):
         if self.trdeg < 0:
-            raise InvariantError("trdeg must be nonnegative")
+            raise InputError("bad atom field label: trdeg must be nonnegative")
         if self.alg_closure_degree < 1 or self.num_components < 1:
-            raise InvariantError("degree and component count must be positive")
+            raise InputError(
+                "bad atom field label: degree and component count must be positive"
+            )
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class ConstrA:
         """The base's degree while every character is zero; a nonzero one
         leaves the degree unresolved."""
         if any(map(any, self.chars)):
-            raise ProvenanceError(
+            raise InputError(
                 "algebraic closure degree is unresolved for a construction "
                 "label with nonzero characters"
             )
@@ -104,10 +106,7 @@ def field_from_json_obj(obj) -> FieldLabel:
         ints = (a.get("trdeg"), a.get("deg", 1), a.get("components", 1))
         if any(type(x) is not int for x in ints):
             raise InputError('atom "trdeg", "deg" and "components" must be integers')
-        try:
-            return Atom(a["name"], *ints)
-        except InvariantError as exc:
-            raise InputError(f"bad atom field label: {exc}") from exc
+        return Atom(a["name"], *ints)
     if "constr_a" in obj:
         node = obj["constr_a"]
         if not isinstance(node, dict) or not is_int_rows(node.get("chars")):
@@ -129,20 +128,20 @@ class Symbol:
 
     def __post_init__(self):
         if self.group is not self.subgroup.group:
-            raise InvariantError("subgroup belongs to another group")
+            raise InputError("subgroup belongs to another group")
         A = self.subgroup.structure
         beta = tuple(A.reduce(b) for b in self.beta)
         object.__setattr__(self, "beta", beta)
         if len(beta) != self.ambient_n - self.field_label.trdeg:
-            raise InvariantError(
+            raise InputError(
                 f"weight count {len(beta)} != n - trdeg = "
                 f"{self.ambient_n - self.field_label.trdeg}"
             )
         if any(all(x == 0 for x in b) for b in beta):
-            raise InvariantError("weights must be nonzero characters")
+            raise InputError("weights must be nonzero characters")
         # the weights were just reduced: test without validation
         if not generates_reduced(A, beta):
-            raise InvariantError("weights do not generate the character group")
+            raise InputError("weights do not generate the character group")
 
     def to_json_obj(self):
         return {

@@ -9,8 +9,6 @@ from burnside import (
     AbelianGroup,
     BnGPresentation,
     InputError,
-    InvariantError,
-    PreconditionError,
     SizeError,
     reduce_class,
     wedge_equivalent,
@@ -31,9 +29,9 @@ P, Q = 1000003, 1000033
 
 class TestAbelianGroup:
     def test_invariant_factor_validation(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(InputError, match="< 2"):
             AbelianGroup((1,))
-        with pytest.raises(InvariantError):
+        with pytest.raises(InputError, match="does not divide"):
             AbelianGroup((4, 2))
         assert AbelianGroup(()).order == 1
         assert AbelianGroup((2, 4)).order == 8
@@ -69,7 +67,7 @@ class TestAbelianGroup:
                 full_group_symbol((3,), [(x,)], 1)
             with pytest.raises(InputError, match="not an integer"):
                 wedge_equivalent(A, [(x,)], [(1,)])
-            with pytest.raises(InvariantError, match="not an integer"):
+            with pytest.raises(InputError, match="not an integer"):
                 AbelianGroup((x,))
         with pytest.raises(InputError):
             AbelianGroup.from_json('{"invariant_factors": [3.0]}')
@@ -202,12 +200,12 @@ class TestWedge:
 
     def test_rejects_wrong_length(self):
         A = AbelianGroup((5, 5))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="length rank"):
             wedge_equivalent(A, [(1, 0)], [(0, 1)])
 
     def test_rejects_non_generating(self):
         A = AbelianGroup((5, 5))
-        with pytest.raises(PreconditionError):
+        with pytest.raises(InputError, match="generating tuples"):
             wedge_equivalent(A, [(1, 0), (2, 0)], [(1, 0), (0, 1)])
 
     def test_equivalence_relation(self):

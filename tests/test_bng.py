@@ -6,6 +6,7 @@ import math
 import operator
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,10 +22,8 @@ from burnside import (
     BnGClass,
     BnGPresentation,
     ConstrA,
-    DomainError,
     FiniteGroup,
     InputError,
-    ProvenanceError,
     SizeError,
     SparseMatrix,
     Symbol,
@@ -310,21 +309,20 @@ class TestOneEnumeration:
 class TestOneTable:
     def test_rows_and_classes_share_one_table(self, monkeypatch):
         # the j = 2 rows, the j = 3 rows and a class query all read the
-        # presentation's one coded generator table, and the rows its one
+        # presentation's one coded generator index, and the rows its one
         # difference table
-        coded = count_builds(monkeypatch, "coded_table")
+        coded = count_builds(monkeypatch, "generator_index")
         differences = count_builds(monkeypatch, "difference_table")
         P = BnGPresentation(AbelianGroup((2, 4)), 3)
         assert P.smith_form.contains(relation_rows(P, 3, 3))
         reduce_class(P, {P.generators[-1]: 1})
         assert coded == differences == [P]
-        _, index = P.coded_table
-        assert list(index.values()) == list(range(len(P.generators)))
+        assert list(P.generator_index.values()) == list(range(len(P.generators)))
 
     def test_class_query_at_n1_builds_no_difference_table(self, monkeypatch):
         # no relation row exists at n = 1, so nothing reads the |A|^2 table:
         # on Z/3000 that would be 9 million codes
-        coded = count_builds(monkeypatch, "coded_table")
+        coded = count_builds(monkeypatch, "generator_index")
         differences = count_builds(monkeypatch, "difference_table")
         P = BnGPresentation(AbelianGroup((3000,)), 1)
         got = reduce_class(P, {((1,),): 1})
@@ -439,6 +437,29 @@ class TestModPOracle:
         monkeypatch.setattr(burnside.relations, "MAX_RELATION_CELLS", lift)
         P = BnGPresentation(AbelianGroup((p,)), 2)
         assert structure_by_ranks(P.relation_matrix, [2]) == (free, ranks)
+
+
+class TestSignQuotients:
+    """Closed forms for the two sign quotients of B_2(Z/p), the relation
+    rows of each built here on top of the presentation's."""
+
+    PRIMES = [p for p in range(5, 62) if all(p % d for d in range(2, p))]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_free_ranks(self, p):
+        P = BnGPresentation(AbelianGroup((p,)), 2)
+        index = P.generator_index
+        # Z/p's codes are its characters, so -beta is a lookup on negated codes
+        pairs = [(k, index[tuple(sorted(-a % p for a in gen))]) for gen, k in index.items()]
+        minus = {tuple(sorted({k: 1, j: -1}.items())) for k, j in pairs if k != j}
+        plus = {tuple(sorted(Counter([k, j]).items())) for k, j in pairs}
+
+        def free_rank(extra):
+            M = SparseMatrix(P.relation_matrix.entries + tuple(extra), len(index))
+            return smith_normal_form(M).divisors.count(0)
+
+        assert 24 * free_rank(minus) == (p - 5) * (p - 7)
+        assert 2 * free_rank(plus) == p - 1
 
 
 class TestReduce:
@@ -598,7 +619,7 @@ class TestProjection:
             beta=((1,),),
             ambient_n=2,
         )
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(InputError, match="unresolved"):
             project_symbol(s, P)
         # a nonzero character on the inner label, under a zero one
         inner = ConstrA(base=base.field_label, chars=((1,),))
@@ -609,7 +630,7 @@ class TestProjection:
             beta=((1,),),
             ambient_n=3,
         )
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(InputError, match="unresolved"):
             project_symbol(s, BnGPresentation(AbelianGroup((3,)), 3))
 
     def test_nonabelian_ambient_rejected(self, d8, d8_parts):
@@ -621,7 +642,7 @@ class TestProjection:
             beta=((1, 0), (0, 1)),
             ambient_n=2,
         )
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="abelian ambient"):
             project_symbol(s, BnGPresentation(AbelianGroup((2, 2)), 2))
 
     def test_dimension_mismatch(self):

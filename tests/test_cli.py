@@ -17,6 +17,13 @@ from conftest import compose_permutations, permutation_closure, table_by_composi
 
 GOLDEN = Path(__file__).parent / "golden"
 Z3 = '{"invariant_factors":[3]}'
+Z3_TYPED = '{"type":"abelian","invariant_factors":[3]}'
+Z4_TYPED = '{"type":"abelian","invariant_factors":[4]}'
+D8_JSON = '{"type":"permutation","degree":4,"generators":[[1,2,3,0],[3,2,1,0]]}'
+
+
+def symbol_json(subgroup, atom, beta, n) -> str:
+    return json.dumps({"subgroup": subgroup, "field": {"atom": atom}, "beta": beta, "n": n})
 
 
 def run_cli(*args, stdin=None):
@@ -231,7 +238,8 @@ class TestExitCodes:
         # matrix implied by 500,500 candidate multisets of Z/1000 is over the
         # cells bound; so is the count C(6 * 10**6 - 1, 3 * 10**6), whose
         # exact value would take minutes to build; and so are two groups of
-        # order 2**20000, as a presentation and as a table.  The relation
+        # order 2**20000, as a presentation and as a table, and a raw Cayley
+        # table of 2,001 rows, refused before its rows are read.  The relation
         # rows of verify-prop71 are priced at about 2**n position sets per
         # generator, and bng-structure's C(n, 2) per generator grows as n**3
         twos = json.dumps([2] * 20000)
@@ -244,6 +252,8 @@ class TestExitCodes:
              "--n", "1000000"],
             ["bng-structure", "--group", '{"invariant_factors":%s}' % twos, "--n", "2"],
             ["canon", "--group", '{"type":"abelian","invariant_factors":%s}' % twos,
+             "--symbol", symbol],
+            ["canon", "--group", json.dumps({"type": "table", "cayley": [[0]] * 2001}),
              "--symbol", symbol],
             ["verify-prop71", "--group", '{"invariant_factors":[2]}', "--n", "24"],
             ["verify-prop71", "--group", '{"invariant_factors":[3]}', "--n", "14"],
@@ -418,6 +428,58 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("input error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["bng-structure", "--group", '{"invariant_factors":[4,2]}', "--n", "2"],
+             "invariant factor 4 does not divide 2"),
+            (["bng-structure", "--group", '{"invariant_factors":[1]}', "--n", "2"],
+             "invariant factor 1 < 2"),
+            (["canon", "--group", Z3_TYPED, "--symbol",
+              symbol_json([0, 1, 2], {"name": "k", "trdeg": -1}, [[1]], 0)],
+             "bad atom field label: trdeg must be nonnegative"),
+            (["canon", "--group", Z3_TYPED, "--symbol",
+              symbol_json([0, 1, 2], {"name": "k", "trdeg": 0, "deg": 0}, [[1]], 1)],
+             "bad atom field label: degree and component count must be positive"),
+            (["canon", "--group", D8_JSON, "--symbol",
+              symbol_json(list(range(8)), {"name": "k", "trdeg": 0}, [], 0)],
+             "subgroup is not abelian"),
+            (["canon", "--group", Z4_TYPED, "--symbol",
+              symbol_json([0, 1, 2, 3], {"name": "k", "trdeg": 0}, [[2]], 1)],
+             "weights do not generate the character group"),
+            (["canon", "--group", Z4_TYPED, "--symbol",
+              symbol_json([0, 1, 2, 3], {"name": "k", "trdeg": 0}, [[0]], 1)],
+             "weights must be nonzero characters"),
+            (["canon", "--group", Z4_TYPED, "--symbol",
+              symbol_json([0, 1, 2, 3], {"name": "k", "trdeg": 0}, [[1]], 2)],
+             "weight count 1 != n - trdeg = 2"),
+            (["wedge", "--group", '{"invariant_factors":[4]}', "--x", "[[2]]", "--y", "[[1]]"],
+             "wedge comparison requires generating tuples"),
+            (["wedge", "--group", '{"invariant_factors":[4]}', "--x", "[[1],[1]]",
+              "--y", "[[1]]"],
+             "wedge comparison needs tuples of length rank = 1"),
+        ],
+        ids=[
+            "factor-not-dividing",
+            "factor-below-two",
+            "atom-negative-trdeg",
+            "atom-zero-degree",
+            "subgroup-not-abelian",
+            "weights-not-generating",
+            "weight-zero",
+            "weight-count",
+            "wedge-not-generating",
+            "wedge-wrong-length",
+        ],
+    )
+    def test_error_lines(self, argv, message, capsys):
+        # the whole stderr line and the exit code of each check on
+        # malformed groups, field labels, symbols and wedge tuples
+        assert cli.run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"input error: {message}\n"
 
     def test_bad_permutation_message_is_short(self, tmp_path, capsys):
         # a 200,000-point generator with a repeated point: the message echoes

@@ -257,7 +257,7 @@ class TestRelationRows:
         # a row depends only on which characters sit at the j positions: on
         # [2] at n = 15 one visit per position set makes about 880,000
         # index lookups, one per sub-multiset about 1,300; the lookups are
-        # counted on the coded index of the presentation's generator table
+        # counted on the presentation's generator index
         class CountingIndex(dict):
             lookups = 0
 
@@ -267,12 +267,11 @@ class TestRelationRows:
 
         indexes = []
 
-        def counting(table):
-            code, index = table
+        def counting(index):
             indexes.append(CountingIndex(index))
-            return code, indexes[-1]
+            return indexes[-1]
 
-        count_builds(monkeypatch, "coded_table", counting)
+        count_builds(monkeypatch, "generator_index", counting)
         M = relation_rows(BnGPresentation(AbelianGroup((2,)), 15), 15)
         assert M.num_rows > 0
         assert len(indexes) == 1
