@@ -111,7 +111,7 @@ class BnGPresentation:
 
     @cached_property
     def smith_form(self) -> SmithForm:
-        """Smith divisors, one per generator, and the elimination's record."""
+        """The elimination's record, a column per generator, and its readings."""
         return smith_normal_form(self.relation_matrix)
 
     def structure(self) -> tuple[int, list[int]]:

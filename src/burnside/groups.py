@@ -70,17 +70,18 @@ class FiniteGroup:
 
     def __init__(self, cayley, _trusted=False):
         # the constructors hand over square arrays in range, identity at 0
-        if not _trusted and len(cayley) > MAX_GROUP_ORDER:  # before any row is read
-            raise SizeError(f"Cayley table of {len(cayley)} rows exceeds bound {MAX_GROUP_ORDER}")
-        table = tuple(cayley if _trusted else map(tuple, cayley))
-        n = len(table)
+        n = len(cayley)
         if not _trusted:
-            if not {int}.issuperset(map(type, itertools.chain.from_iterable(table))):
+            if n > MAX_GROUP_ORDER:  # before any row is read
+                raise SizeError(f"Cayley table of {n} rows exceeds bound {MAX_GROUP_ORDER}")
+            if not {int}.issuperset(map(type, itertools.chain.from_iterable(cayley))):
                 raise InputError("Cayley table entries must be integers")
-            if any(len(row) != n for row in table):
+            if any(len(row) != n for row in cayley):
                 raise InputError("Cayley table must be square")
-            if n and (min(map(min, table)) < 0 or max(map(max, table)) >= n):
+            if n and (min(map(min, cayley)) < 0 or max(map(max, cayley)) >= n):
                 raise InputError("Cayley table entries out of range")
+        # checked as given, then packed once: unsigned shorts hold n
+        table = tuple(cayley if _trusted else (array("H", row) for row in cayley))
         self.cayley = table
         self.order = n
         self.identity = identity = 0 if _trusted else self._find_identity()
@@ -91,16 +92,14 @@ class FiniteGroup:
         except ValueError:
             g = next(g for g, row in enumerate(table) if identity not in row)
             raise InputError(f"element {g} has no inverse") from None
-        if not _trusted:  # checked as tuples, kept as arrays
-            self.cayley = tuple(array("H", row) for row in table)
         self._subgroup_refs = {}
 
     # construction helpers ------------------------------------------------
 
     def _find_identity(self) -> int:
-        ident = tuple(range(self.order))
+        ident = array("H", range(self.order))
         for e, row in enumerate(self.cayley):
-            if row == ident and tuple(map(itemgetter(e), self.cayley)) == ident:
+            if row == ident and array("H", map(itemgetter(e), self.cayley)) == ident:
                 return e
         raise InputError("Cayley table has no identity element")
 
@@ -123,7 +122,7 @@ class FiniteGroup:
                 new += prods - reached
                 reached |= prods
         for a, row in itertools.product(gens, tab):
-            if tab[row[a]] != tuple(map(row.__getitem__, tab[a])):
+            if tab[row[a]] != array("H", map(row.__getitem__, tab[a])):
                 raise InputError("Cayley table is not associative")
 
     # elementary queries --------------------------------------------------

@@ -199,9 +199,6 @@ class SymbolSum:
     def of(*symbols: Symbol) -> "SymbolSum":
         return SymbolSum([(s, 1) for s in symbols])
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0]))
 

@@ -1,14 +1,14 @@
 """Exact linear algebra over the integers.
 
-One matrix type, sparse rows, and one kernel: Smith divisors in plain
-Python ints, so coefficient growth is harmless, by unit pivots in a
-fill-reducing order and a dense loop, with no transform, on an echelon
-triangle of the block left.  The elimination's record has one reader, a
-forward solve over the pivots: with the block's transform it gives class
-coordinates, and a row lies in the row lattice exactly when it maps to the
-zero class.  A form runs at most two dense loops: one on the triangle for
-the divisors, and one on the block as it stands for the transform, on the
-first class query.
+One matrix type, sparse rows, and one kernel in plain Python ints, so
+coefficient growth is harmless.  ``smith_normal_form`` runs the unit pivots
+in a fill-reducing order; its form is their record and the block left, and
+two readings of that block, each built on first use: the divisors, by a
+dense loop with no transform on an echelon triangle of it, on the first
+query of any kind, and W, the dense loop's transform on the block as it
+stands, on the first class query.  The record has one reader, a forward
+solve over the pivots: with W it gives class coordinates, and a row lies in
+the row lattice exactly when it maps to the zero class.
 """
 
 from __future__ import annotations
@@ -131,12 +131,12 @@ def _echelon(a) -> list[list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class SmithForm:
-    """Smith divisors and the elimination's record: per unit pivot, in order,
-    its column and the other entries ``(j, x)`` of its sign-normalised row,
-    and each pivot column's step; then the non-pivot columns and the sparse
-    rows of the residual block on them."""
+    """The elimination's record: per unit pivot, in order, its column and the
+    other entries ``(j, x)`` of its sign-normalised row, and each pivot
+    column's step; then the non-pivot columns and the sparse rows of the
+    residual block on them.  Two readings of the block, each built once: the
+    divisors on the first query of any kind, W on the first class query."""
 
-    divisors: list[int]
     pivots: tuple
     step: dict
     residual: tuple
@@ -166,6 +166,20 @@ class SmithForm:
                 if not row[j]:
                     del row[j]
         return row
+
+    @cached_property
+    def divisors(self) -> list[int]:
+        """One per column (``d_1 | d_2 | ...`` positive, then 0 per free
+        column): 1 per unit pivot, then the dense loop's, with no transform,
+        on an echelon triangle of the block left, at most the short side square."""
+        cols, block = self.residual
+        held = sorted({j for row in block for j in row})
+        a = [[row.get(j, 0) for j in held] for row in block]
+        if len(held) > len(block):  # tall: the transpose has the same divisors
+            a = [list(col) for col in zip(*a)]
+        width = min(len(held), len(block))
+        d = _dense_smith(_echelon(a), [[]] * width)
+        return [1] * len(self.pivots) + d + [0] * (len(cols) - len(d))
 
     @cached_property
     def _residual_rows(self) -> dict[int, tuple[int, ...]]:
@@ -209,18 +223,15 @@ class SmithForm:
 
 
 def smith_normal_form(M: SparseMatrix) -> SmithForm:
-    """Smith form of a sparse matrix ``M``: the divisors, one per column
-    (``d_1 | d_2 | ...`` positive, then zeros for the free part), and the
-    record that class coordinates and membership read.  Unit pivots take a
-    fill-reducing order (after Markowitz), in one loop: a ``(length, row)``
-    heap, stale entries skipped, gives the shortest row holding a +-1; its
-    unit in the column with the fewest rows is the pivot, the column is
-    cleared from the other rows and its row set dropped, and the pivot row,
-    sign-normalised and left to column operations, is recorded and dropped.
-    The block left, on the columns it holds, is turned tall (its transpose
-    has the same divisors) and brought to an echelon triangle, at most the
-    short side square, and the dense loop takes that for the divisors, with
-    no transform.  No row transform is built.
+    """Smith form of a sparse matrix ``M``, as the unit-pivot phase leaves
+    it: the record and the block left, which the divisors, class coordinates
+    and membership read.  Unit pivots take a fill-reducing order (after
+    Markowitz), in one loop: a ``(length, row)`` heap, stale entries
+    skipped, gives the shortest row holding a +-1; its unit in the column
+    with the fewest rows is the pivot, the column is cleared from the other
+    rows and its row set dropped, and the pivot row, sign-normalised and
+    left to column operations, is recorded and dropped.  No row transform
+    is built, and no dense loop runs.
     """
     rows = [dict(row) for row in M.entries]
     in_col = [set() for _ in range(M.num_cols)]  # the rows held per column
@@ -273,11 +284,4 @@ def smith_normal_form(M: SparseMatrix) -> SmithForm:
     block = tuple(row for row in rows if row)
     step = {c: s for s, (c, _) in enumerate(pivots)}
     residual = (tuple(j for j in range(M.num_cols) if j not in step), block)
-    held = sorted({j for row in block for j in row})
-    a = [[row.get(j, 0) for j in held] for row in block]
-    if len(held) > len(block):  # tall: the transpose has the same divisors
-        a = [list(col) for col in zip(*a)]
-    width = min(len(held), len(block))
-    divisors = [1] * len(pivots) + _dense_smith(_echelon(a), [[]] * width)
-    divisors += [0] * (M.num_cols - len(divisors))
-    return SmithForm(divisors, tuple(pivots), step, residual)
+    return SmithForm(tuple(pivots), step, residual)

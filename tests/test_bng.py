@@ -562,6 +562,64 @@ class TestReduce:
         assert len(seen) == 3
 
 
+def _unit(p, u):
+    return pytest.param((p,), lambda c: (u * c[0] % p,), id=f"Z{p}-times-{u}")
+
+
+def _pair(factors, name, sigma):
+    return pytest.param(factors, sigma, id=f"Z{factors[0]}xZ{factors[1]}-{name}")
+
+
+# (factors, sigma): sigma an automorphism of A, on characters.  Every unit
+# but 1 of Z/p; on (Z/3)^2 a shear and the swap; on Z/2 x Z/4, whose factors
+# differ, so that no swap exists, a shear each way and their product
+AUTOMORPHISMS = [
+    *(_unit(p, u) for p in (5, 7, 11) for u in range(2, p)),
+    _pair((2, 4), "shear", lambda c: ((c[0] + c[1]) % 2, c[1])),
+    _pair((2, 4), "shear-back", lambda c: (c[0], (c[1] + 2 * c[0]) % 4)),
+    _pair((2, 4), "both", lambda c: ((c[0] + c[1]) % 2, (c[1] + 2 * c[0]) % 4)),
+    _pair((3, 3), "shear", lambda c: ((c[0] + c[1]) % 3, c[1])),
+    _pair((3, 3), "swap", lambda c: (c[1], c[0])),
+]
+
+
+class TestAutomorphismInvariance:
+    """Aut(A) acts on generators, a multiset at a time, and preserves the
+    relations: an oracle on the engine's column bookkeeping (the generator
+    index, the pivot steps and the residual columns) that shares no
+    elimination with it."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("factors,sigma", AUTOMORPHISMS)
+    def test_relations_and_class_orders_are_invariant(self, factors, sigma, n):
+        A = AbelianGroup(factors)
+        chars = list(A.elements())
+        # sigma is a bijective homomorphism of A
+        assert sorted(map(sigma, chars)) == chars
+        for x, y in itertools.product(chars, repeat=2):
+            assert sigma(A.reduce(map(operator.add, x, y))) == A.reduce(
+                map(operator.add, sigma(x), sigma(y))
+            )
+        P = BnGPresentation(A, n)
+        # each generator's column goes to that of its sorted image
+        perm = [P.coerce_generator(sorted(map(sigma, gen))) for gen in P.generators]
+        assert sorted(perm) == list(range(len(perm)))
+        rows = P.relation_matrix.entries
+        moved = {tuple(sorted((perm[k], x) for k, x in row)) for row in rows}
+        assert moved == set(rows)
+        assert P.smith_form.contains(SparseMatrix(tuple(moved), len(perm)))
+        torsion = [d for d in P.smith_form.orders if d]
+
+        def order(gen):  # 0 for infinite order
+            cls = reduce_class(P, {gen: 1})
+            if any(cls.free):
+                return 0
+            return math.lcm(*(d // math.gcd(y, d) for y, d in zip(cls.torsion, torsion)))
+
+        for gen, k in zip(P.generators, perm):
+            assert order(gen) == order(P.generators[k])
+
+
 class TestProjection:
     def test_full_subgroup_pads_with_zeros(self):
         s = full_group_symbol((3,), [(1,), (2,)], 3, trdeg=1)

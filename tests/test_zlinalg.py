@@ -279,9 +279,10 @@ class TestEchelonDivisorPass:
         assert len(a) <= min(M.num_rows, M.num_cols)
 
     def test_dense_loop_runs_on_the_triangle(self, monkeypatch):
-        # the divisor pass hands the dense loop at most min(rows, cols) rows
-        # of the short side, while the transform W still runs on the block
-        # as it stands, so class coordinates do not move
+        # the elimination runs the unit pivots alone, and the divisor pass,
+        # on the first read of the divisors, hands the dense loop at most
+        # min(rows, cols) rows of the short side, while the transform W
+        # still runs on the block as it stands, so class coordinates do not move
         calls = []
         dense = burnside.zlinalg._dense_smith
 
@@ -300,6 +301,8 @@ class TestEchelonDivisorPass:
         for M in blocks:
             calls.clear()
             F = smith_normal_form(M)
+            assert calls == []
+            F.divisors
             cols, block = F.residual
             held = sorted({j for row in block for j in row})
             short = min(len(block), len(held))
