@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mod
+from operator import mod, neg
 from typing import TYPE_CHECKING
 
 from .errors import BurnsideError, InputError, SizeError
@@ -90,7 +90,7 @@ class AbelianGroup:
         return self.reduce(x + y for x, y in zip(self.reduce(a), self.reduce(b)))
 
     def neg(self, a) -> tuple[int, ...]:
-        return self.reduce(-x for x in self.reduce(a))
+        return tuple(map(mod, map(neg, self.reduce(a)), self.invariant_factors))
 
     def elements(self):
         """All elements in deterministic mixed-radix order."""

@@ -80,6 +80,10 @@ class FiniteGroup:
                 raise InputError("Cayley table must be square")
             if n and (min(map(min, cayley)) < 0 or max(map(max, cayley)) >= n):
                 raise InputError("Cayley table entries out of range")
+            # rows, then columns one at a time: no transposed copy is built
+            columns = (map(itemgetter(j), cayley) for j in range(n))
+            if any(len(set(line)) != n for line in itertools.chain(cayley, columns)):
+                raise InputError("Cayley table is not a Latin square")
         # checked as given, then packed once: unsigned shorts hold n
         table = tuple(cayley if _trusted else (array("H", row) for row in cayley))
         self.cayley = table
@@ -87,11 +91,7 @@ class FiniteGroup:
         self.identity = identity = 0 if _trusted else self._find_identity()
         if not _trusted:
             self._check_axioms()
-        try:
-            self.inverse = tuple(row.index(identity) for row in table)
-        except ValueError:
-            g = next(g for g, row in enumerate(table) if identity not in row)
-            raise InputError(f"element {g} has no inverse") from None
+        self.inverse = tuple(row.index(identity) for row in table)  # rows are Latin
         self._subgroup_refs = {}
 
     # construction helpers ------------------------------------------------
@@ -104,26 +104,21 @@ class FiniteGroup:
         raise InputError("Cayley table has no identity element")
 
     def _check_axioms(self):
-        """Associativity by Light's test: the elements a with (x a) y =
-        x (a y) for all x, y are closed under the product, so it suffices to
-        test a generating set of the table as a magma, found greedily by
-        closure under products in both orders."""
-        tab = self.cayley
-        reached, gens = set(), []
+        """Associativity by Light's test.  In a Latin table with an identity
+        the elements a with (x a) y = x (a y) for all x, y form a subgroup,
+        so only the elements that the closure of those tested so far has
+        not reached are tested: the reached subgroup at least doubles with
+        each, so at most log2(n) are."""
+        tab, gens, reached = self.cayley, [], {self.identity}
         for a in range(self.order):
-            new = [] if a in reached else [a]
-            gens += new
-            reached.update(new)
-            while new:
-                z = new.pop()
-                members = list(reached)
-                prods = set(map(tab[z].__getitem__, members))
-                prods.update(map(itemgetter(z), map(tab.__getitem__, members)))
-                new += prods - reached
-                reached |= prods
-        for a, row in itertools.product(gens, tab):
-            if tab[row[a]] != array("H", map(row.__getitem__, tab[a])):
+            if a in reached:
+                continue
+            times_a = itemgetter(*tab[a])  # not the identity: n >= 2, a tuple
+            # row (x a) y against row x (a y), for each x
+            if any(tab[row[a]] != array("H", times_a(row)) for row in tab):
                 raise InputError("Cayley table is not associative")
+            gens.append(a)
+            reached = self.closure(gens)
 
     # elementary queries --------------------------------------------------
 

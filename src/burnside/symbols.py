@@ -71,11 +71,7 @@ FieldLabel = Atom | ConstrA
 
 def normalize_chars(A: AbelianGroup, chars) -> tuple[tuple[int, ...], ...]:
     """Canonical form of a character list: sign-normalized, sorted."""
-    out = []
-    for c in chars:
-        c = A.reduce(c)
-        out.append(min(c, A.neg(c)))
-    return tuple(sorted(out))
+    return tuple(sorted(min(c, A.neg(c)) for c in map(A.reduce, chars)))
 
 
 def field_to_json_obj(f: FieldLabel):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -184,13 +185,32 @@ class TestConstruction:
             FiniteGroup(table)
 
     def test_bad_cayley_tables(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="must be square"):
             FiniteGroup([[0, 1], [1]])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="out of range"):
             FiniteGroup([[0, 1], [1, 2]])
-        # left-zero semigroup: no identity
-        with pytest.raises(InputError):
+        # left-zero semigroup: its columns repeat
+        with pytest.raises(InputError, match="not a Latin square"):
             FiniteGroup([[0, 0], [1, 1]])
+        # identity 0, column 1 repeats though every row is a permutation,
+        # then the transpose, whose row 1 repeats
+        half_latin = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
+        for table in (half_latin, [list(col) for col in zip(*half_latin)]):
+            with pytest.raises(InputError, match="not a Latin square"):
+                FiniteGroup(table)
+        # Latin, x y = -x - y mod 3: no row is 0, 1, 2
+        with pytest.raises(InputError, match="no identity element"):
+            FiniteGroup([[0, 2, 1], [2, 1, 0], [1, 0, 2]])
+
+    @pytest.mark.parametrize("n", range(3, 61))
+    def test_monoid_that_is_no_group(self, n):
+        # the left-zero semigroup on 1..n-1 with the identity 0 adjoined:
+        # associative, with an identity, and no x >= 1 has an inverse
+        table = [list(range(n))] + [[x] * n for x in range(1, n)]
+        if n <= 12:
+            assert is_associative_by_triples(table)
+        with pytest.raises(InputError, match="not a Latin square"):
+            FiniteGroup(table)
 
     def test_from_json(self):
         G = FiniteGroup.from_json(
@@ -250,6 +270,27 @@ class TestAgainstOracles:
     def test_abelian_subgroups(self, name):
         G = _built(name)
         assert G._abelian_subgroups == abelian_subgroups_by_scan(G)
+
+    @pytest.mark.parametrize("name", ORACLE_GROUPS)
+    def test_light_test_generators(self, name, monkeypatch):
+        # Light's test admits an element only when closure has not reached
+        # it, and each admitted element grows a subgroup of the table
+        calls, closure = [], FiniteGroup.closure
+
+        def spy(G, gens):
+            calls.append((tuple(gens), closure(G, gens)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(FiniteGroup, "closure", spy)
+        want = _oracle_table(name)
+        n = FiniteGroup([list(row) for row in want]).order
+        assert calls and calls[-1][1] == frozenset(range(n))
+        assert len(calls[-1][0]) <= math.floor(math.log2(n)) + 1
+        reached = {0}
+        for gens, closed in calls:
+            assert gens[-1] not in reached and reached < closed
+            assert all(want[x][y] in closed for x in closed for y in closed)
+            reached = closed
 
     def test_s5_table_subgroups_without_commute(self):
         G = FiniteGroup([list(row) for row in _oracle_table("s5")])
